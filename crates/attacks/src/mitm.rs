@@ -38,15 +38,16 @@ pub fn mitm_attempt(
     let mut sender = Session::establish(psk_guess, session_id, Role::Client);
     for _ in 0..record_index {
         // Burn sequence numbers to align with the intercepted record.
-        let burned = sender.seal(b"").expect("seal cannot fail");
+        let Ok(burned) = sender.seal(b"") else {
+            return MitmOutcome::Blind;
+        };
         let _ = receiver.open(&burned);
     }
     match receiver.open(record) {
         Ok(plaintext) => match replace_with {
-            Some(new_payload) => {
-                let forged = sender.seal(new_payload).expect("seal cannot fail");
-                MitmOutcome::Tampered(forged)
-            }
+            Some(new_payload) => sender
+                .seal(new_payload)
+                .map_or(MitmOutcome::Blind, MitmOutcome::Tampered),
             None => MitmOutcome::Read(plaintext),
         },
         Err(TlsError::BadRecordMac) | Err(_) => MitmOutcome::Blind,

@@ -35,11 +35,10 @@ pub fn segment_bursts(records: &[PacketRecord], max_gap: Duration) -> Vec<Burst>
     sorted.sort_by_key(|r| (r.src, r.dst, r.at));
     let mut bursts: Vec<Burst> = Vec::new();
     for rec in sorted {
-        let extend = bursts.last().is_some_and(|b| {
+        let open = bursts.last_mut().filter(|b| {
             b.src == rec.src && b.dst == rec.dst && rec.at.since(last_time(b, rec)) <= max_gap
         });
-        if extend {
-            let b = bursts.last_mut().expect("just checked");
+        if let Some(b) = open {
             b.sizes.push(rec.wire_size as i64);
             b.end_hint = rec.at;
         } else {

@@ -410,9 +410,6 @@ fn write_bench_json(
          \"sharded_s\": {:.3},\n  \"homes_per_sec\": {:.1},\n  \"speedup\": {:.2},\n  \
          \"build_cpu_s\": {:.3},\n  \"step_cpu_s\": {:.3},\n  \"report_cpu_s\": {:.3},\n  \
          \"aggregate_cpu_s\": {:.3},\n  \"homes_per_sec_step\": {:.1},\n  \
-         \"single_core_baseline_speedup\": 1.01,\n  \
-         \"single_core_baseline_note\": \"pre-overhaul 1-to-8-worker speedup measured on the \
-         1-hardware-thread CI container (see ROADMAP); sharding wins need a multi-core runner\",\n  \
          \"deterministic\": {},\n  \"attacked_homes\": {},\n  \"flagged_homes\": {},\n  \
          \"deviants_flagged\": {},\n  \"communities\": {},\n  \"threshold\": {:.6},\n  \
          \"evidence_shed\": {},\n  \"capacity_sweep\": [\n    {}\n  ],\n  \"metrics\": {}\n}}\n",

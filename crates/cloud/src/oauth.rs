@@ -99,7 +99,7 @@ impl TokenService {
         if !token.scopes.iter().any(|s| s == scope) {
             return Err(TokenError::MissingScope);
         }
-        Ok(self.tokens.get(value).expect("checked above"))
+        Ok(token)
     }
 
     /// Revokes a token.

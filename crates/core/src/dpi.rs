@@ -213,14 +213,19 @@ impl EncryptedDpi {
     ///
     /// Propagates [`CryptoError`] from tokenizer construction.
     pub fn bind_session(&mut self, session_secret: &[u8]) -> Result<(), CryptoError> {
-        let tokenizer = Tokenizer::new(session_secret)?;
+        self.bind_tokenizer(&Tokenizer::new(session_secret)?);
+        Ok(())
+    }
+
+    /// [`EncryptedDpi::bind_session`] with the session's tokenizer
+    /// already built (infallible).
+    pub fn bind_tokenizer(&mut self, tokenizer: &Tokenizer) {
         self.compiled = self
             .rules
             .iter()
             .map(|r| tokenizer.rule_tokens(&r.keyword))
             .collect();
         self.index = TokenIndex::build(self.compiled.clone());
-        Ok(())
     }
 
     fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
@@ -326,10 +331,10 @@ pub fn match_batch_sharded(
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("shard panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
-    .expect("shard scope panicked")
+    .unwrap_or_else(|e| std::panic::resume_unwind(e))
 }
 
 /// Builds the default rule set from the botnet C&C signatures.

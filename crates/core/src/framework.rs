@@ -24,7 +24,7 @@ use std::rc::Rc;
 use xlf_cloud::{CloudNode, DeviceHandler, EventPolicy, SmartCloud};
 use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
-use xlf_lwcrypto::searchable::Tokenizer;
+use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
 use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
 
@@ -248,6 +248,9 @@ pub struct XlfGateway {
     vetter: UpdateVetter,
     /// Per-device DPI middleboxes (bound to per-device session secrets).
     dpi: BTreeMap<String, (EncryptedDpi, Tokenizer)>,
+    /// Token streams reused by every DPI scan, so tokenizing a payload
+    /// allocates nothing once the buffers have grown.
+    token_scratch: Vec<Vec<Token>>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
     /// steered by the Core's correlation results.
     pub auth_proxy: DelegationProxy,
@@ -276,7 +279,16 @@ impl std::fmt::Debug for XlfGateway {
 
 impl XlfGateway {
     /// Creates a gateway bridging `cloud`, wired to `core`.
+    ///
+    /// # Panics
+    ///
+    /// If `master_secret` is empty: no per-device DPI session key can be
+    /// derived from it.
     pub fn new(core: CoreHandle, config: XlfConfig, cloud: NodeId, master_secret: &[u8]) -> Self {
+        assert!(
+            !master_secret.is_empty(),
+            "XlfGateway needs a non-empty master secret"
+        );
         let bus = core.borrow().bus.clone();
         let mut vetter = UpdateVetter::new(&crate::dpi::xlf_attacks_signatures().to_vec());
         vetter.trust_vendor("acme", b"acme vendor secret");
@@ -292,6 +304,7 @@ impl XlfGateway {
             analytics: DataAnalytics::new().with_bus(bus.clone()),
             vetter: vetter.with_bus(bus.clone()),
             dpi: BTreeMap::new(),
+            token_scratch: Vec::new(),
             auth_proxy: DelegationProxy::new(LatencyModel::default()),
             last_upstream: BTreeMap::new(),
             bus,
@@ -322,34 +335,40 @@ impl XlfGateway {
     }
 
     fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
-        if !self.dpi.contains_key(device) {
-            let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
-                .expect("valid kdf params");
+        let core = &self.core;
+        let master_secret = &self.master_secret;
+        self.dpi.entry(device.to_string()).or_insert_with(|| {
+            let secret = derive_key(master_secret, &format!("dpi/{device}"), 16)
+                .unwrap_or_else(|_| unreachable!("XlfGateway::new rejects an empty master secret"));
+            let tokenizer = Tokenizer::new(&secret)
+                .unwrap_or_else(|_| unreachable!("derive_key returned 16 bytes"));
             let mut middlebox =
-                EncryptedDpi::new(default_rules()).with_bus(self.core.borrow().bus.clone());
-            middlebox
-                .bind_session(&secret)
-                .expect("non-empty session secret");
-            let tokenizer = Tokenizer::new(&secret).expect("non-empty session secret");
-            self.dpi.insert(device.to_string(), (middlebox, tokenizer));
-        }
-        self.dpi.get_mut(device).expect("just inserted")
+                EncryptedDpi::new(default_rules()).with_bus(core.borrow().bus.clone());
+            middlebox.bind_tokenizer(&tokenizer);
+            (middlebox, tokenizer)
+        })
     }
 
     fn scan_payload(&mut self, device: &str, payload: &[u8], now: SimTime) -> bool {
         if !self.config.dpi || payload.is_empty() {
             return false;
         }
+        let mut streams = std::mem::take(&mut self.token_scratch);
+        if streams.is_empty() {
+            streams.push(Vec::new());
+        }
         let (middlebox, tokenizer) = self.dpi_for(device);
-        let tokens = tokenizer.tokenize(payload);
-        !middlebox.inspect(device, &tokens, now).is_empty()
+        tokenizer.tokenize_into(payload, &mut streams[0]);
+        let hit = !middlebox.inspect(device, &streams[0], now).is_empty();
+        self.token_scratch = streams;
+        hit
     }
 
     /// Batched DPI entry point: tokenizes and inspects a burst of payloads
     /// from one device in a single middlebox pass (session bound once,
-    /// match scratch reused across payloads). Returns, per payload,
-    /// whether any rule matched — exactly what [`scan_payload`] would
-    /// have answered for each, with identical evidence and counters.
+    /// token and match scratch reused across payloads). Returns, per
+    /// payload, whether any rule matched — exactly what [`scan_payload`]
+    /// would have answered for each, with identical evidence and counters.
     /// Empty payloads are skipped, as in the per-packet path.
     ///
     /// [`scan_payload`]: XlfGateway::scan_payload
@@ -357,18 +376,22 @@ impl XlfGateway {
         if !self.config.dpi || payloads.is_empty() {
             return vec![false; payloads.len()];
         }
-        let (middlebox, tokenizer) = self.dpi_for(device);
         let scanned: Vec<usize> = payloads
             .iter()
             .enumerate()
             .filter(|(_, p)| !p.is_empty())
             .map(|(i, _)| i)
             .collect();
-        let streams: Vec<Vec<xlf_lwcrypto::searchable::Token>> = scanned
-            .iter()
-            .map(|&i| tokenizer.tokenize(payloads[i]))
-            .collect();
-        let matches = middlebox.inspect_batch(device, &streams, now);
+        let mut streams = std::mem::take(&mut self.token_scratch);
+        if streams.len() < scanned.len() {
+            streams.resize_with(scanned.len(), Vec::new);
+        }
+        let (middlebox, tokenizer) = self.dpi_for(device);
+        for (&i, stream) in scanned.iter().zip(streams.iter_mut()) {
+            tokenizer.tokenize_into(payloads[i], stream);
+        }
+        let matches = middlebox.inspect_batch(device, &streams[..scanned.len()], now);
+        self.token_scratch = streams;
         let mut out = vec![false; payloads.len()];
         for (&i, m) in scanned.iter().zip(&matches) {
             out[i] = !m.is_empty();
@@ -803,16 +826,27 @@ impl XlfHome {
     }
 
     /// Convenience: the gateway node, downcast.
+    ///
+    /// # Panics
+    ///
+    /// If `self.gateway` was repointed at a node that is not an
+    /// [`XlfGateway`].
     pub fn gateway_ref(&self) -> &XlfGateway {
         self.net
             .node_as::<XlfGateway>(self.gateway)
-            .expect("gateway node exists")
+            .unwrap_or_else(|| panic!("node {:?} is not an XlfGateway", self.gateway))
     }
 
     /// Convenience: a device node, downcast.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not a device of this home.
     pub fn device_ref(&self, name: &str) -> &SimDevice {
-        let id = self.devices[name];
-        self.net.node_as::<SimDevice>(id).expect("device exists")
+        self.devices
+            .get(name)
+            .and_then(|&id| self.net.node_as::<SimDevice>(id))
+            .unwrap_or_else(|| panic!("no device {name:?} in this home"))
     }
 
     /// Wraps this home in a reusable [`HomeRunner`] (installs the traffic

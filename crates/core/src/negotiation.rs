@@ -9,7 +9,7 @@ use crate::bus::EvidenceBus;
 use crate::evidence::{Evidence, EvidenceKind, Layer};
 use xlf_device::{CryptoFeasibility, DeviceSpec, ResourceModel};
 use xlf_lwcrypto::kdf::derive_key;
-use xlf_lwcrypto::{registry, CipherInfo};
+use xlf_lwcrypto::{registry, CipherInfo, CryptoError};
 use xlf_simnet::SimTime;
 
 /// A negotiated cryptographic session for one device.
@@ -33,6 +33,8 @@ pub enum NegotiationError {
         /// Device concerned.
         device: String,
     },
+    /// The session key could not be derived (empty master secret).
+    KeyDerivation(CryptoError),
 }
 
 impl std::fmt::Display for NegotiationError {
@@ -41,6 +43,7 @@ impl std::fmt::Display for NegotiationError {
             NegotiationError::NoFeasibleCipher { device } => {
                 write!(f, "no feasible cipher for device {device}")
             }
+            NegotiationError::KeyDerivation(e) => write!(f, "session key derivation failed: {e}"),
         }
     }
 }
@@ -114,7 +117,7 @@ impl CipherNegotiator {
             &format!("session/{device_name}/{}", chosen.name),
             key_len,
         )
-        .expect("valid kdf parameters");
+        .map_err(NegotiationError::KeyDerivation)?;
         Ok(NegotiatedSession {
             device: device_name.to_string(),
             cipher: chosen.clone(),
@@ -139,6 +142,16 @@ mod tests {
             .unwrap();
         assert!(session.throughput_bps >= 500.0);
         assert!(!session.session_key.is_empty());
+    }
+
+    #[test]
+    fn empty_master_secret_is_a_structured_error() {
+        let negotiator = CipherNegotiator::new(b"");
+        let spec = DeviceSpec::of(DeviceClass::SensorDevice);
+        let err = negotiator
+            .negotiate("soil-sensor", &spec, 500.0, SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, NegotiationError::KeyDerivation(_)), "{err}");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl NetMonitor {
                 }
             }
         }
-        self.rate.get_mut(device).expect("just inserted").1 += 1;
+        entry.1 += 1;
     }
 
     /// Feeds one state-transition event (from hub-observed `event`

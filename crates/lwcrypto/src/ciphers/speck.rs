@@ -53,8 +53,7 @@ impl Speck128 {
     /// Returns [`CryptoError::InvalidKeyLength`] unless the key is 16 bytes.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
         check_key("SPECK128/128", &[16], key)?;
-        let mut l = u64::from_be_bytes(key[0..8].try_into().expect("8 bytes"));
-        let mut k = u64::from_be_bytes(key[8..16].try_into().expect("8 bytes"));
+        let (mut l, mut k) = block_words(key);
         let mut round_keys = [0u64; ROUNDS];
         for (i, rk) in round_keys.iter_mut().enumerate() {
             *rk = k;
@@ -64,6 +63,28 @@ impl Speck128 {
         }
         Ok(Speck128 { round_keys })
     }
+
+    /// Encrypts one block given as its two big-endian words `(x, y)`.
+    ///
+    /// This is the infallible core of [`BlockCipher::encrypt_block`]:
+    /// callers that already hold the block as words (such as the
+    /// searchable-encryption tokenizer) skip the byte conversions, the
+    /// length check and the `Result`.
+    pub fn encrypt_words(&self, mut x: u64, mut y: u64) -> (u64, u64) {
+        for &rk in &self.round_keys {
+            round(&mut x, &mut y, rk);
+        }
+        (x, y)
+    }
+}
+
+/// Splits a checked 16-byte block (or key) into its big-endian words.
+fn block_words(block: &[u8]) -> (u64, u64) {
+    let mut x = [0u8; 8];
+    let mut y = [0u8; 8];
+    x.copy_from_slice(&block[0..8]);
+    y.copy_from_slice(&block[8..16]);
+    (u64::from_be_bytes(x), u64::from_be_bytes(y))
 }
 
 impl BlockCipher for Speck128 {
@@ -73,11 +94,8 @@ impl BlockCipher for Speck128 {
 
     fn encrypt_block(&self, block: &mut [u8]) -> Result<(), CryptoError> {
         check_block(block, 16)?;
-        let mut x = u64::from_be_bytes(block[0..8].try_into().expect("8 bytes"));
-        let mut y = u64::from_be_bytes(block[8..16].try_into().expect("8 bytes"));
-        for &rk in &self.round_keys {
-            round(&mut x, &mut y, rk);
-        }
+        let (x, y) = block_words(block);
+        let (x, y) = self.encrypt_words(x, y);
         block[0..8].copy_from_slice(&x.to_be_bytes());
         block[8..16].copy_from_slice(&y.to_be_bytes());
         Ok(())
@@ -85,8 +103,7 @@ impl BlockCipher for Speck128 {
 
     fn decrypt_block(&self, block: &mut [u8]) -> Result<(), CryptoError> {
         check_block(block, 16)?;
-        let mut x = u64::from_be_bytes(block[0..8].try_into().expect("8 bytes"));
-        let mut y = u64::from_be_bytes(block[8..16].try_into().expect("8 bytes"));
+        let (mut x, mut y) = block_words(block);
         for &rk in self.round_keys.iter().rev() {
             inv_round(&mut x, &mut y, rk);
         }
@@ -142,6 +159,25 @@ mod tests {
             u64::from_be_bytes(block[0..8].try_into().unwrap()),
             0x6c61_7669_7571_6520
         );
+    }
+
+    #[test]
+    fn encrypt_words_agrees_with_encrypt_block() {
+        let mut key = [0u8; 16];
+        key[0..8].copy_from_slice(&0x0f0e_0d0c_0b0a_0908u64.to_be_bytes());
+        key[8..16].copy_from_slice(&0x0706_0504_0302_0100u64.to_be_bytes());
+        let speck = Speck128::new(&key).unwrap();
+        let (x, y) = (0x6c61_7669_7571_6520u64, 0x7469_2065_6461_6d20u64);
+        assert_eq!(
+            speck.encrypt_words(x, y),
+            (0xa65d_9851_7978_3265, 0x7860_fedf_5c57_0d18)
+        );
+
+        let mut block = [0u8; 16];
+        block[0..8].copy_from_slice(&x.to_be_bytes());
+        block[8..16].copy_from_slice(&y.to_be_bytes());
+        speck.encrypt_block(&mut block).unwrap();
+        assert_eq!(block_words(&block), speck.encrypt_words(x, y));
     }
 
     #[test]

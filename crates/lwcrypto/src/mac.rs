@@ -78,8 +78,9 @@ impl<'c, C: BlockCipher + ?Sized> CbcMac<'c, C> {
 
 /// A keyed pseudorandom function built from [`CbcMac`]: PRF(k, label, data).
 ///
-/// Used by the searchable-encryption tokenizer and the KDF. The label
-/// domain-separates different uses of the same key.
+/// Used by the KDF, and the definition of a searchable-encryption token
+/// (which [`crate::searchable::Tokenizer`] computes with a cached
+/// midstate). The label domain-separates different uses of the same key.
 pub fn prf<C: BlockCipher + ?Sized>(
     cipher: &C,
     label: &str,

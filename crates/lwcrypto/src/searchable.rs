@@ -17,7 +17,6 @@
 
 use crate::ciphers::Speck128;
 use crate::kdf::derive_key;
-use crate::mac::prf;
 use crate::CryptoError;
 
 /// Sliding-window width in bytes for tokenization (BlindBox uses 8).
@@ -28,6 +27,35 @@ pub const TOKEN_SIZE: usize = 8;
 
 /// An encrypted inspection token: the PRF image of one plaintext window.
 pub type Token = [u8; TOKEN_SIZE];
+
+// A token is `prf(cipher, "blindbox-token", window)[..8]` (see
+// `crate::mac::prf`): a length-prefixed SPECK128 CBC-MAC over the
+// 23-byte input `"blindbox-token" ‖ 0x1F ‖ window`. With the 8-byte
+// length prefix and zero padding that is exactly two blocks:
+//
+//   block 1 = be64(23) ‖ "blindbox"                  (same for every window)
+//   block 2 = "-token" ‖ 0x1F ‖ window ‖ 0x00
+//
+// As big-endian words, block 2 is `x = TAIL_X | window >> 56` and
+// `y = window << 8`. So the tokenizer encrypts block 1 once and
+// runs a single block encryption per window.
+
+/// Block 1's `x` word: the CBC-MAC length prefix of the PRF input
+/// (label, separator, window: 23 bytes).
+const HEAD_X: u64 = (b"blindbox-token".len() + 1 + TOKEN_WINDOW) as u64;
+/// Block 1's `y` word: the first eight label bytes.
+const HEAD_Y: u64 = u64::from_be_bytes(*b"blindbox");
+/// Block 2's `x` word without the window's first byte.
+const TAIL_X: u64 = u64::from_be_bytes(*b"-token\x1f\0");
+
+/// Reads up to [`TOKEN_WINDOW`] leading bytes as one big-endian word,
+/// zero-padding short input.
+fn window_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; TOKEN_WINDOW];
+    let len = bytes.len().min(TOKEN_WINDOW);
+    word[..len].copy_from_slice(&bytes[..len]);
+    u64::from_be_bytes(word)
+}
 
 /// Per-session tokenizer shared (via the XLF Core key exchange) between
 /// the endpoint and the inspecting middlebox rule authority.
@@ -50,6 +78,9 @@ pub type Token = [u8; TOKEN_SIZE];
 #[derive(Debug)]
 pub struct Tokenizer {
     cipher: Speck128,
+    /// CBC-MAC state after block 1, with block 2's constant bytes
+    /// (`TAIL_X`) already folded into the `x` word.
+    midstate: (u64, u64),
 }
 
 impl Tokenizer {
@@ -61,31 +92,43 @@ impl Tokenizer {
     /// Returns [`CryptoError::InvalidParameter`] if the secret is empty.
     pub fn new(session_secret: &[u8]) -> Result<Self, CryptoError> {
         let key = derive_key(session_secret, "xlf-searchable-token", 16)?;
+        let cipher = Speck128::new(&key)?;
+        let (x, y) = cipher.encrypt_words(HEAD_X, HEAD_Y);
         Ok(Tokenizer {
-            cipher: Speck128::new(&key).expect("16-byte derived key"),
+            cipher,
+            midstate: (x ^ TAIL_X, y),
         })
     }
 
-    fn window_token(&self, window: &[u8]) -> Token {
-        let out = prf(&self.cipher, "blindbox-token", window).expect("PRF over small input");
-        let mut token = [0u8; TOKEN_SIZE];
-        token.copy_from_slice(&out[..TOKEN_SIZE]);
-        token
+    /// The token of one window held as a big-endian word.
+    fn window_token(&self, window: u64) -> Token {
+        let (x, _) = self.cipher.encrypt_words(
+            self.midstate.0 ^ (window >> 56),
+            self.midstate.1 ^ (window << 8),
+        );
+        x.to_be_bytes()
     }
 
     /// Produces the token stream for an outgoing payload: one token per
     /// sliding window (stride 1). Payloads shorter than the window emit a
     /// single zero-padded token.
     pub fn tokenize(&self, payload: &[u8]) -> Vec<Token> {
-        if payload.len() < TOKEN_WINDOW {
-            let mut padded = payload.to_vec();
-            padded.resize(TOKEN_WINDOW, 0);
-            return vec![self.window_token(&padded)];
+        let mut tokens = Vec::new();
+        self.tokenize_into(payload, &mut tokens);
+        tokens
+    }
+
+    /// [`Tokenizer::tokenize`] into a caller-owned buffer, which is
+    /// cleared first so hot loops can reuse its allocation.
+    pub fn tokenize_into(&self, payload: &[u8], out: &mut Vec<Token>) {
+        out.clear();
+        out.reserve(payload.len().saturating_sub(TOKEN_WINDOW) + 1);
+        let mut window = window_word(payload);
+        out.push(self.window_token(window));
+        for &byte in payload.get(TOKEN_WINDOW..).unwrap_or_default() {
+            window = (window << 8) | u64::from(byte);
+            out.push(self.window_token(window));
         }
-        payload
-            .windows(TOKEN_WINDOW)
-            .map(|w| self.window_token(w))
-            .collect()
     }
 
     /// Produces the token for a rule keyword. Keywords shorter than the
@@ -93,9 +136,7 @@ impl Tokenizer {
     /// payloads); longer keywords use their first window — callers should
     /// split long keywords into windows via [`Tokenizer::rule_tokens`].
     pub fn rule_token(&self, keyword: &[u8]) -> Token {
-        let mut w = keyword.to_vec();
-        w.resize(TOKEN_WINDOW.max(w.len()), 0);
-        self.window_token(&w[..TOKEN_WINDOW])
+        self.window_token(window_word(keyword))
     }
 
     /// Splits a long keyword into consecutive window tokens (stride 1), so
@@ -247,6 +288,56 @@ impl TokenIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(token: &Token) -> String {
+        token.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Tokens pinned from the reference `mac::prf` definition: any drift
+    /// would silently break rule tokens compiled by another party.
+    #[test]
+    fn known_answer_tokens() {
+        let t = Tokenizer::new(b"xlf known-answer secret").unwrap();
+        let single = |payload: &[u8]| {
+            let tokens = t.tokenize(payload);
+            assert_eq!(tokens.len(), 1);
+            hex(&tokens[0])
+        };
+        assert_eq!(single(b""), "6d3e71a8dfd668a8");
+        assert_eq!(single(b"hi"), "23b03d69cfacfa49");
+        assert_eq!(single(b"NEEDLE01"), "916c3ff03e6110b3");
+        assert_eq!(hex(&t.rule_token(b"wget${IFS}")), "28f462a2a7b5480d");
+
+        let telemetry = br#"{"dev":"thermo-01","t":21.5,"h":40,"seq":12345,"ok":true}"#;
+        assert_eq!(telemetry.len(), 57);
+        let tokens = t.tokenize(telemetry);
+        assert_eq!(tokens.len(), 50);
+        assert_eq!(hex(&tokens[0]), "b36f30b53cbfc972");
+        assert_eq!(hex(&tokens[24]), "c35e4515ffb78250");
+        assert_eq!(hex(&tokens[49]), "f0756533759ee7fe");
+        let fold = tokens
+            .iter()
+            .fold(0u64, |acc, t| acc.rotate_left(7) ^ u64::from_le_bytes(*t));
+        assert_eq!(fold, 0xd4e0_edc4_6122_7a2c);
+
+        let other = Tokenizer::new(b"k").unwrap();
+        assert_eq!(
+            hex(&other.rule_token(b"/bin/busybox MIRAI")),
+            "7922866939b082a1"
+        );
+    }
+
+    #[test]
+    fn tokenize_into_clears_a_reused_buffer() {
+        let t = Tokenizer::new(b"k").unwrap();
+        let mut buf = Vec::new();
+        t.tokenize_into(b"a long first payload", &mut buf);
+        assert_eq!(buf, t.tokenize(b"a long first payload"));
+        t.tokenize_into(b"hi", &mut buf);
+        assert_eq!(buf, t.tokenize(b"hi"));
+        t.tokenize_into(b"", &mut buf);
+        assert_eq!(buf, vec![t.rule_token(b"")]);
+    }
 
     #[test]
     fn matching_without_plaintext() {

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 use xlf_lwcrypto::ciphers::{Aes, Present80, Speck128};
 use xlf_lwcrypto::hash::LightHash;
 use xlf_lwcrypto::kdf::derive_key;
-use xlf_lwcrypto::mac::CbcMac;
+use xlf_lwcrypto::mac::{prf, CbcMac};
 use xlf_lwcrypto::modes::{Cbc, Ctr};
-use xlf_lwcrypto::searchable::{match_rule, Tokenizer};
+use xlf_lwcrypto::searchable::{match_rule, Token, Tokenizer, TOKEN_WINDOW};
 use xlf_lwcrypto::{registry, BlockCipher};
 
 proptest! {
@@ -163,9 +163,33 @@ proptest! {
         let foreign_rule = other.rule_tokens(keyword);
         prop_assert!(match_rule(&traffic, &foreign_rule).is_empty());
     }
+
+    /// The midstate tokenizer is bit-identical to the generic PRF
+    /// definition of a token, for any session secret and payload
+    /// (short payloads are one zero-padded window).
+    #[test]
+    fn tokens_equal_the_reference_prf(secret in prop::collection::vec(any::<u8>(), 1..48),
+                                      payload in prop::collection::vec(any::<u8>(), 0..80)) {
+        let key = derive_key(&secret, "xlf-searchable-token", 16).unwrap();
+        let cipher = Speck128::new(&key).unwrap();
+        let reference = |window: &[u8]| -> Token {
+            prf(&cipher, "blindbox-token", window).unwrap()[..8].try_into().unwrap()
+        };
+        let expected: Vec<Token> = if payload.len() < TOKEN_WINDOW {
+            let mut padded = payload.clone();
+            padded.resize(TOKEN_WINDOW, 0);
+            vec![reference(&padded)]
+        } else {
+            payload.windows(TOKEN_WINDOW).map(reference).collect()
+        };
+
+        let t = Tokenizer::new(&secret).unwrap();
+        prop_assert_eq!(&t.tokenize(&payload), &expected);
+        prop_assert_eq!(t.rule_token(&payload), expected[0]);
+    }
 }
 
-use xlf_lwcrypto::searchable::{Token, TokenIndex};
+use xlf_lwcrypto::searchable::TokenIndex;
 
 /// Raw token sequences drawn from a 4-symbol token alphabet, so first-
 /// window collisions, overlapping rules, and empty rule sequences all

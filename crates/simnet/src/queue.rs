@@ -121,15 +121,21 @@ impl<T> EventQueue<T> {
     /// Removes and returns the earliest event as `(at, seq, payload)`,
     /// recycling its arena slot.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let top = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
+        let last = self.heap.pop()?;
+        let top = match self.heap.first_mut() {
+            Some(first) => {
+                let top = std::mem::replace(first, last);
+                self.sift_down(0);
+                top
+            }
+            None => last,
+        };
         let slot = &mut self.slots[top.slot as usize];
         debug_assert_eq!(slot.gen, top.gen, "stale generation in heap entry");
-        let payload = slot.payload.take().expect("popped slot must be occupied");
+        let payload = slot
+            .payload
+            .take()
+            .unwrap_or_else(|| unreachable!("popped slot must be occupied"));
         slot.gen = slot.gen.wrapping_add(1);
         self.free.push(top.slot);
         let (at, seq) = unpack_key(top.key);
