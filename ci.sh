@@ -36,6 +36,25 @@ assert bench["homes"] >= 1000, f"BENCH_fleet.json is a {bench['homes']}-home smo
 assert bench["speedup"] >= 0.95, f"sharding overhead regressed: speedup {bench['speedup']}"
 EOF
 
+echo "== bench freshness: committed BENCH_scale.json is the current 100k-home point"
+python3 - "$metrics_schema" <<'PYEOF'
+import json, sys
+want = int(sys.argv[1])
+bench = json.load(open("BENCH_scale.json"))
+assert bench["experiment"] == "scale", "BENCH_scale.json is not a scale artifact"
+got = bench["metrics"]["schema_version"]
+assert got == want, (f"BENCH_scale.json embeds stale metrics (schema v{got}, want v{want}); "
+                     "regenerate with exp_scale --homes 100000 --workers 8 --horizon 240")
+assert bench["homes_large"] >= 100000, f"BENCH_scale.json is a {bench['homes_large']}-home smoke artifact"
+assert bench["sublinear_memory"] is True, "committed scale point lost sublinear peak-RSS scaling"
+PYEOF
+
+echo "== typed packets: no string packet metadata outside the read-only view"
+if grep -rnF --include='*.rs' -e 'with_meta(' -e '.meta("' crates src tests examples \
+    | grep -v '^crates/simnet/src/packet.rs:'; then
+    echo "string packet metadata is back: use the typed Kind fields and Packet::device"; exit 1
+fi
+
 echo "== schema stability: byte-identical fleet reports across reruns"
 ./target/release/exp_fleet --homes 16 --workers 2 --horizon 420 --capacity 64 \
     --report "$tmpdir/report_a.json" --json "$tmpdir/bench_a.json" >/dev/null

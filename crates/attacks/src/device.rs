@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use xlf_device::firmware::{FirmwareImage, Version};
 use xlf_protocols::ssdp::SsdpMessage;
-use xlf_simnet::{Context, Node, NodeId, Packet};
+use xlf_simnet::{Context, Kind, Node, NodeId, Packet};
 
 /// Outcome log shared between an attack node and the experiment harness.
 pub type SharedLog = Rc<RefCell<Vec<String>>>;
@@ -32,18 +32,16 @@ impl CredentialAttacker {
 impl Node for CredentialAttacker {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for &target in &self.targets {
-            let pkt = Packet::new(ctx.id(), target, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+            let pkt = Packet::new(ctx.id(), target, crate::mirai::DEFAULT_LOGIN, Vec::new());
             ctx.send(target, pkt);
         }
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "login-result" && packet.meta("outcome") == Some("success") {
+        if packet.kind == (Kind::LoginResult { ok: true }) {
             self.log.borrow_mut().push(format!(
                 "default-credential takeover of {}",
-                packet.meta("device").unwrap_or("?")
+                packet.device.as_deref().unwrap_or("?")
             ));
         }
     }
@@ -72,7 +70,11 @@ impl Node for OverflowAttacker {
         // Shellcode-shaped payload: NOP sled + marker.
         let mut payload = vec![0x90u8; self.payload_len];
         payload.extend_from_slice(b"SHELLCODE");
-        let pkt = Packet::new(ctx.id(), self.target, "cmd", payload);
+        let kind = Kind::Cmd {
+            action: None,
+            command: None,
+        };
+        let pkt = Packet::new(ctx.id(), self.target, kind, payload);
         ctx.send(self.target, pkt);
     }
 }
@@ -117,19 +119,17 @@ impl Node for FirmwareTamperer {
         let pkt = Packet::new(
             ctx.id(),
             self.target,
-            "ota",
+            Kind::Ota,
             Self::malicious_image().to_bytes(),
         );
         ctx.send(self.target, pkt);
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ota-result" {
+        if let Kind::OtaResult { ok, detail } = &packet.kind {
             self.log.borrow_mut().push(format!(
-                "ota on {}: ok={} ({})",
-                packet.meta("device").unwrap_or("?"),
-                packet.meta("ok").unwrap_or("?"),
-                packet.meta("detail").unwrap_or("?"),
+                "ota on {}: ok={ok} ({detail})",
+                packet.device.as_deref().unwrap_or("?")
             ));
         }
     }
@@ -152,15 +152,15 @@ impl RickrollAttacker {
 
 impl Node for RickrollAttacker {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let pkt = Packet::new(ctx.id(), self.target, "deauth", Vec::new());
+        let pkt = Packet::new(ctx.id(), self.target, Kind::Deauth, Vec::new());
         ctx.send(self.target, pkt);
     }
 
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "reconnect" {
+        if packet.kind == Kind::Reconnect {
             self.log.borrow_mut().push(format!(
                 "hijacked session of {}",
-                packet.meta("device").unwrap_or("?")
+                packet.device.as_deref().unwrap_or("?")
             ));
         }
     }

@@ -9,7 +9,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Kind, Node, NodeId, Packet, SimTime, TimerId};
 
 /// The C&C keyword strings the DPI signature set matches (modeled on the
 /// shell-command indicators of the cited signature-generation work).
@@ -18,6 +18,18 @@ pub const CNC_SIGNATURES: &[&[u8]] = &[
     b"/bin/busybox MIRAI",
     b"POST /cdn-cgi/ HTTP",
 ];
+
+/// The factory-default credentials every takeover attempt tries.
+pub const DEFAULT_LOGIN: Kind = Kind::Login {
+    user: "admin",
+    pass: "admin",
+};
+
+/// A WAN recruiter's login, relayed by `gateway` to `device`: default
+/// credentials carrying the C&C bootstrap command.
+pub fn recruit_login(src: NodeId, gateway: NodeId, device: &str) -> Packet {
+    Packet::new(src, gateway, DEFAULT_LOGIN, CNC_SIGNATURES[0].to_vec()).with_device(device)
+}
 
 /// Phase 1+2: scans targets for open telnet and tries default
 /// credentials on responders.
@@ -43,27 +55,24 @@ impl Scanner {
 impl Node for Scanner {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for &target in &self.targets {
-            let probe = Packet::new(ctx.id(), target, "probe", Vec::new()).with_meta("port", "23");
+            let probe = Packet::new(ctx.id(), target, Kind::Probe { port: 23 }, Vec::new());
             ctx.send(target, probe);
         }
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind.as_str() {
-            "probe-result" if packet.meta("open") == Some("true") => {
-                let device = packet.meta("device").unwrap_or("?").to_string();
-                self.open_telnet.borrow_mut().push(device);
+        let device = || packet.device.clone().unwrap_or_else(|| "?".to_string());
+        match packet.kind {
+            Kind::ProbeResult { open: true, .. } => {
+                self.open_telnet.borrow_mut().push(device());
                 // Phase 2: login with the default credential list, carrying
                 // the C&C bootstrap command in the payload.
-                let login = Packet::new(ctx.id(), packet.src, "login", CNC_SIGNATURES[0].to_vec())
-                    .with_meta("user", "admin")
-                    .with_meta("pass", "admin");
+                let bootstrap = CNC_SIGNATURES[0].to_vec();
+                let login = Packet::new(ctx.id(), packet.src, DEFAULT_LOGIN, bootstrap);
                 ctx.send(packet.src, login);
             }
-            "login-result" if packet.meta("outcome") == Some("success") => {
-                self.recruited
-                    .borrow_mut()
-                    .push((packet.meta("device").unwrap_or("?").to_string(), packet.src));
+            Kind::LoginResult { ok: true } => {
+                self.recruited.borrow_mut().push((device(), packet.src));
             }
             _ => {}
         }
@@ -99,9 +108,11 @@ impl Node for CommandAndControl {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, _tag: u64) {
         for &bot in &self.bots {
-            let order = Packet::new(ctx.id(), bot, "attack-cmd", CNC_SIGNATURES[1].to_vec())
-                .with_meta("target", &self.victim.raw().to_string())
-                .with_meta("count", &self.packets_per_bot.to_string());
+            let kind = Kind::AttackCmd {
+                target: self.victim,
+                count: self.packets_per_bot,
+            };
+            let order = Packet::new(ctx.id(), bot, kind, CNC_SIGNATURES[1].to_vec());
             ctx.send(bot, order);
         }
     }
@@ -140,7 +151,7 @@ impl Victim {
 
 impl Node for Victim {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ddos" {
+        if packet.kind == Kind::Ddos {
             self.hits.push((ctx.now(), packet.wire_size));
         }
     }

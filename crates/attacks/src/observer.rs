@@ -81,7 +81,7 @@ impl TrafficAnalyst {
         // Group consecutive same-kind records into training bursts.
         let mut sorted: Vec<&PacketRecord> = records.iter().collect();
         sorted.sort_by_key(|r| (r.src, r.dst, r.at));
-        let mut current: Option<(String, Vec<i64>)> = None;
+        let mut current: Option<(&str, Vec<i64>)> = None;
         for rec in sorted {
             match &mut current {
                 Some((label, sizes)) if *label == rec.ground_truth_kind => {
@@ -89,14 +89,14 @@ impl TrafficAnalyst {
                 }
                 _ => {
                     if let Some((label, sizes)) = current.take() {
-                        self.classifier.train(&label, sizes);
+                        self.classifier.train(label, sizes);
                     }
-                    current = Some((rec.ground_truth_kind.clone(), vec![rec.wire_size as i64]));
+                    current = Some((rec.ground_truth_kind, vec![rec.wire_size as i64]));
                 }
             }
         }
         if let Some((label, sizes)) = current {
-            self.classifier.train(&label, sizes);
+            self.classifier.train(label, sizes);
         }
     }
 
@@ -109,7 +109,7 @@ impl TrafficAnalyst {
         for burst in segment_bursts(records, self.max_gap) {
             let label = majority_kind(records, &burst);
             if !label.is_empty() {
-                self.classifier.train(&label, burst.sizes);
+                self.classifier.train(label, burst.sizes);
             }
         }
     }
@@ -154,14 +154,11 @@ impl TrafficAnalyst {
     }
 }
 
-fn majority_kind(records: &[PacketRecord], burst: &Burst) -> String {
+fn majority_kind(records: &[PacketRecord], burst: &Burst) -> &'static str {
     let mut counts = std::collections::BTreeMap::new();
     for rec in records {
         if rec.src == burst.src && rec.dst == burst.dst && rec.at >= burst.start {
-            if let Some(&first) = burst.sizes.first() {
-                let _ = first;
-            }
-            *counts.entry(rec.ground_truth_kind.clone()).or_insert(0u32) += 1;
+            *counts.entry(rec.ground_truth_kind).or_insert(0u32) += 1;
         }
     }
     counts
@@ -176,14 +173,14 @@ mod tests {
     use super::*;
     use xlf_simnet::Protocol;
 
-    fn rec(at_ms: u64, src: u32, dst: u32, size: usize, kind: &str) -> PacketRecord {
+    fn rec(at_ms: u64, src: u32, dst: u32, size: usize, kind: &'static str) -> PacketRecord {
         PacketRecord {
             at: SimTime::from_millis(at_ms),
             src: NodeId::from_raw(src),
             dst: NodeId::from_raw(dst),
             wire_size: size,
             protocol: Protocol::Tls,
-            ground_truth_kind: kind.to_string(),
+            ground_truth_kind: kind,
         }
     }
 

