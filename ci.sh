@@ -55,6 +55,12 @@ if grep -rnF --include='*.rs' -e 'with_meta(' -e '.meta("' crates src tests exam
     echo "string packet metadata is back: use the typed Kind fields and Packet::device"; exit 1
 fi
 
+echo "== bench harness: experiment binaries use the shared args, JSON and timing modules"
+if grep -rnF --include='*.rs' -e 'std::env::args' -e 'fn parse_args' -e 'fn write_bench_json' \
+    crates/bench/src/bin/; then
+    echo "a hand-rolled bench harness is back: use xlf_bench::{args, json, timing}"; exit 1
+fi
+
 echo "== schema stability: byte-identical fleet reports across reruns"
 ./target/release/exp_fleet --homes 16 --workers 2 --horizon 420 --capacity 64 \
     --report "$tmpdir/report_a.json" --json "$tmpdir/bench_a.json" >/dev/null

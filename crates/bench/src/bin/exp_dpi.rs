@@ -7,6 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
+use xlf_bench::json::{self, Fixed, Obj};
+use xlf_bench::timing::per_call;
 use xlf_bench::{prf, print_table};
 use xlf_core::dpi::{default_rules, match_batch_sharded, EncryptedDpi, PlaintextDpi, Rule};
 use xlf_lwcrypto::searchable::{Token, Tokenizer};
@@ -67,23 +69,6 @@ fn synthetic_payloads(rng: &mut StdRng, count: usize, size: usize, rules: &[Rule
         .collect()
 }
 
-/// Seconds per invocation of `f`, repeating until the sample is long
-/// enough to trust.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    let mut reps = 1u32;
-    loop {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed > 0.01 || reps >= 1 << 20 {
-            return elapsed / f64::from(reps);
-        }
-        reps *= 4;
-    }
-}
-
 struct SweepCell {
     rules: usize,
     payload_bytes: usize,
@@ -122,17 +107,17 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             let mbps = |secs_per_batch: f64| batch_bytes / secs_per_batch.max(1e-12);
 
             let plain = PlaintextDpi::new(rules.clone());
-            let naive = mbps(measure(|| {
+            let naive = mbps(per_call(1, || {
                 for p in &refs {
                     std::hint::black_box(plain.inspect_naive(p));
                 }
             }));
-            let automaton = mbps(measure(|| {
+            let automaton = mbps(per_call(1, || {
                 for p in &refs {
                     std::hint::black_box(plain.inspect(p));
                 }
             }));
-            let batched = mbps(measure(|| {
+            let batched = mbps(per_call(1, || {
                 std::hint::black_box(plain.inspect_batch(&refs));
             }));
 
@@ -146,19 +131,19 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             enc_indexed_engine
                 .bind_session(b"sweep session")
                 .expect("bind");
-            let enc_naive = mbps(measure(|| {
+            let enc_naive = mbps(per_call(1, || {
                 for t in &streams {
                     std::hint::black_box(enc_naive_engine.match_stream(t));
                 }
             }));
-            let enc_indexed = mbps(measure(|| {
+            let enc_indexed = mbps(per_call(1, || {
                 std::hint::black_box(enc_indexed_engine.inspect_batch(
                     "dev",
                     &streams,
                     SimTime::ZERO,
                 ));
             }));
-            let enc_sharded = mbps(measure(|| {
+            let enc_sharded = mbps(per_call(1, || {
                 std::hint::black_box(match_batch_sharded(&enc_indexed_engine, &streams, SHARDS));
             }));
 
@@ -175,40 +160,6 @@ fn fastpath_sweep() -> Vec<SweepCell> {
         }
     }
     cells
-}
-
-/// Hand-rolled JSON trajectory point (no serde in the tree).
-fn write_bench_json(cells: &[SweepCell], path: &str) -> std::io::Result<()> {
-    let mut body = String::from("{\n  \"experiment\": \"dpi-fastpath-sweep\",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"rules\": {}, \"payload_bytes\": {}, \
-             \"naive_mbps\": {:.2}, \"automaton_mbps\": {:.2}, \"batched_mbps\": {:.2}, \
-             \"enc_naive_mbps\": {:.2}, \"enc_indexed_mbps\": {:.2}, \"enc_sharded_mbps\": {:.2}, \
-             \"automaton_speedup\": {:.2}, \"index_speedup\": {:.2}}}{}\n",
-            c.rules,
-            c.payload_bytes,
-            c.naive,
-            c.automaton,
-            c.batched,
-            c.enc_naive,
-            c.enc_indexed,
-            c.enc_sharded,
-            c.automaton_speedup(),
-            c.index_speedup(),
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    let acceptance = cells
-        .iter()
-        .find(|c| c.rules == 256 && c.payload_bytes == 1024)
-        .expect("acceptance cell swept");
-    body.push_str(&format!(
-        "  ],\n  \"acceptance\": {{\"rules\": 256, \"payload_bytes\": 1024, \
-         \"automaton_speedup\": {:.2}, \"required\": 5.0}}\n}}\n",
-        acceptance.automaton_speedup()
-    ));
-    std::fs::write(path, body)
 }
 
 fn main() {
@@ -347,8 +298,36 @@ fn main() {
         acceptance.automaton_speedup(),
         acceptance.index_speedup()
     );
-    match write_bench_json(&cells, "BENCH_dpi.json") {
-        Ok(()) => println!("Trajectory point written to BENCH_dpi.json."),
-        Err(e) => eprintln!("could not write BENCH_dpi.json: {e}"),
-    }
+    json::write(
+        "BENCH_dpi.json",
+        &Obj::new()
+            .field("experiment", "dpi-fastpath-sweep")
+            .rows(
+                "cells",
+                cells.iter().map(|c| {
+                    Obj::new()
+                        .field("rules", c.rules)
+                        .field("payload_bytes", c.payload_bytes)
+                        .field("naive_mbps", Fixed(c.naive, 2))
+                        .field("automaton_mbps", Fixed(c.automaton, 2))
+                        .field("batched_mbps", Fixed(c.batched, 2))
+                        .field("enc_naive_mbps", Fixed(c.enc_naive, 2))
+                        .field("enc_indexed_mbps", Fixed(c.enc_indexed, 2))
+                        .field("enc_sharded_mbps", Fixed(c.enc_sharded, 2))
+                        .field("automaton_speedup", Fixed(c.automaton_speedup(), 2))
+                        .field("index_speedup", Fixed(c.index_speedup(), 2))
+                }),
+            )
+            .field(
+                "acceptance",
+                Obj::new()
+                    .field("rules", 256u32)
+                    .field("payload_bytes", 1024u32)
+                    .field(
+                        "automaton_speedup",
+                        Fixed(acceptance.automaton_speedup(), 2),
+                    )
+                    .field("required", Fixed(5.0, 1)),
+            ),
+    );
 }

@@ -19,11 +19,13 @@
 //!     --json BENCH_engine.json [--smoke]
 //! ```
 
-use std::time::Instant;
 use xlf_analytics::graph::{
     community_report_into, deviation_scores, label_propagation_seeded, normalize_features,
     similarity_graph_into, similarity_graph_naive, FeatureMatrix, GraphScratch,
 };
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
+use xlf_bench::timing::{interleaved, per_call, timed};
 use xlf_simnet::{
     Context, Duration, Kind, Medium, Network, Node, NodeId, Packet, SimTime, TimerId,
 };
@@ -55,27 +57,6 @@ const SMOKE_SLACK: f64 = 0.9;
 const STORM_FANOUT: u32 = 32;
 /// Timer cadence inside one leaf's fan-out cycle.
 const STORM_INTERVAL_MS: u64 = 10;
-
-struct Args {
-    json: String,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        json: "BENCH_engine.json".to_string(),
-        smoke: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--json" => args.json = it.next().expect("--json needs a path"),
-            "--smoke" => args.smoke = true,
-            other => panic!("unknown flag {other} (use --json --smoke)"),
-        }
-    }
-    args
-}
 
 // ---------------------------------------------------------------------
 // Storm: the full dispatch loop.
@@ -127,9 +108,8 @@ fn engine_storm(leaves: usize, horizon_s: u64) -> (u64, f64) {
         let leaf = net.add_node(Box::new(StormLeaf { hub }));
         net.connect(leaf, hub, Medium::Wifi.link().with_loss(0.0));
     }
-    let start = Instant::now();
-    let (events, truncated) = net.run_until_capped(SimTime::from_secs(horizon_s), u64::MAX);
-    let wall = start.elapsed().as_secs_f64();
+    let ((events, truncated), wall) =
+        timed(|| net.run_until_capped(SimTime::from_secs(horizon_s), u64::MAX));
     assert!(!truncated);
     (events, wall)
 }
@@ -153,20 +133,13 @@ fn storm_sweep(smoke: bool) -> Vec<StormCell> {
     let mut cells = Vec::new();
     for &leaves in leaf_counts {
         let _ = engine_storm(leaves, 2); // warm-up
-        let mut best = f64::INFINITY;
-        let mut events = 0;
-        for _ in 0..tries {
-            let (e, w) = engine_storm(leaves, horizon_s);
-            events = e;
-            if w < best {
-                best = w;
-            }
-        }
-        let events_per_sec = events as f64 / best;
+        let [best] = interleaved(tries, [&mut || engine_storm(leaves, horizon_s)]);
+        let (events, wall_s) = (best.first, best.secs);
+        let events_per_sec = events as f64 / wall_s;
         cells.push(StormCell {
             leaves,
             events,
-            wall_s: best,
+            wall_s,
             events_per_sec,
             vs_pinned: (leaves == 256)
                 .then_some(events_per_sec / PRE_OVERHAUL_STORM_EVENTS_PER_SEC),
@@ -197,8 +170,9 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Steady-state scheduler churn at constant queue depth: pop the
 /// earliest event, push a replacement a pseudo-random offset ahead.
-/// Returns events (pops) per second. Generic over the two queue types
-/// via the closure pair so both sides run the exact same workload.
+/// Returns the wall seconds of the churn phase (the fill is untimed).
+/// A macro over the two queue types so both sides run the exact same
+/// workload.
 macro_rules! churn_loop {
     ($queue:expr, $depth:expr, $churn:expr) => {{
         let mut q = $queue;
@@ -212,18 +186,18 @@ macro_rules! churn_loop {
             );
             seq += 1;
         }
-        let start = Instant::now();
-        for _ in 0..$churn {
-            let (at, _, payload) = q.pop().unwrap();
-            std::hint::black_box(&payload);
-            q.push(
-                at + Duration::from_micros(splitmix(&mut state) % 1_000_000),
-                seq,
-                payload,
-            );
-            seq += 1;
-        }
-        $churn as f64 / start.elapsed().as_secs_f64()
+        timed(|| {
+            for _ in 0..$churn {
+                let (at, _, payload) = q.pop().unwrap();
+                std::hint::black_box(&payload);
+                q.push(
+                    at + Duration::from_micros(splitmix(&mut state) % 1_000_000),
+                    seq,
+                    payload,
+                );
+                seq += 1;
+            }
+        })
     }};
 }
 
@@ -248,17 +222,18 @@ fn churn_sweep(smoke: bool) -> Vec<ChurnCell> {
     depths
         .iter()
         .map(|&depth| {
-            // Best of two per side, interleaved, to shrug off noise.
-            let arena = (0..2)
-                .map(|_| churn_loop!(xlf_simnet::queue::EventQueue::new(), depth, churn))
-                .fold(0.0f64, f64::max);
-            let naive = (0..2)
-                .map(|_| churn_loop!(xlf_simnet::queue::NaiveEventQueue::new(), depth, churn))
-                .fold(0.0f64, f64::max);
+            // Min of two interleaved rounds per side to shrug off noise.
+            let [arena, naive] = interleaved(
+                2,
+                [
+                    &mut || churn_loop!(xlf_simnet::queue::EventQueue::new(), depth, churn),
+                    &mut || churn_loop!(xlf_simnet::queue::NaiveEventQueue::new(), depth, churn),
+                ],
+            );
             ChurnCell {
                 depth,
-                arena_eps: arena,
-                naive_eps: naive,
+                arena_eps: churn as f64 / arena.secs,
+                naive_eps: churn as f64 / naive.secs,
             }
         })
         .collect()
@@ -284,35 +259,6 @@ fn synthetic_features(homes: usize, dims: usize) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
-}
-
-/// Seconds per invocation of `f`, repeating until the sample is long
-/// enough to trust.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    // Grow the batch until one run is long enough to time reliably.
-    let mut reps = 1u32;
-    let mut batch;
-    loop {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        batch = start.elapsed().as_secs_f64();
-        if batch > 0.01 || reps >= 1 << 20 {
-            break;
-        }
-        reps *= 4;
-    }
-    // Best-of-3: the minimum batch wall filters scheduler noise.
-    let mut best = batch;
-    for _ in 0..2 {
-        let start = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best / f64::from(reps)
 }
 
 struct KnnCell {
@@ -356,13 +302,13 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             // runs the way production runs it — through caller-owned
             // scratch buffers that persist across epochs — not through
             // the allocating one-shot wrapper.
-            let naive_graph_s = measure(|| {
+            let naive_graph_s = per_call(3, || {
                 std::hint::black_box(similarity_graph_naive(&normalized, K, GAMMA));
             });
             let mut matrix = FeatureMatrix::new();
             matrix.fill_from_rows(&normalized);
             let (mut dist, mut sel, mut adj) = (Vec::new(), Vec::new(), Vec::new());
-            let blocked_graph_s = measure(|| {
+            let blocked_graph_s = per_call(3, || {
                 similarity_graph_into(&matrix, K, GAMMA, &mut dist, &mut sel, &mut adj);
                 std::hint::black_box(&adj);
             });
@@ -371,7 +317,7 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             // naive epoch is the pre-overhaul shape (clone + normalize +
             // per-pair graph + propagation + scoring); the blocked epoch
             // is the scratch-reusing pipeline the stream tier now runs.
-            let naive_epoch_s = measure(|| {
+            let naive_epoch_s = per_call(3, || {
                 let mut n = raw.clone();
                 normalize_features(&mut n);
                 let adj = similarity_graph_naive(&n, K, GAMMA);
@@ -379,7 +325,7 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
                 std::hint::black_box(deviation_scores(&adj, &labels));
             });
             let mut scratch = GraphScratch::new();
-            let blocked_epoch_s = measure(|| {
+            let blocked_epoch_s = per_call(3, || {
                 scratch.matrix.fill_from_flat(&flat, homes, DIMS);
                 community_report_into(K, GAMMA, ITERS, Some(&seed), &mut scratch);
                 std::hint::black_box(scratch.scores());
@@ -398,81 +344,8 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
 
 // ---------------------------------------------------------------------
 
-fn write_bench_json(
-    path: &str,
-    smoke: bool,
-    churn: &[ChurnCell],
-    storm: &[StormCell],
-    knn: &[KnnCell],
-) -> std::io::Result<()> {
-    let mut body = format!(
-        "{{\n  \"experiment\": \"engine-hotpath\",\n  \"smoke\": {smoke},\n  \
-         \"pinned_pre_overhaul_storm_events_per_sec\": {PRE_OVERHAUL_STORM_EVENTS_PER_SEC:.0},\n  \
-         \"churn\": [\n"
-    );
-    for (i, c) in churn.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"depth\": {}, \"arena_events_per_sec\": {:.0}, \
-             \"naive_events_per_sec\": {:.0}, \"ratio\": {:.3}}}{}\n",
-            c.depth,
-            c.arena_eps,
-            c.naive_eps,
-            c.ratio(),
-            if i + 1 == churn.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n  \"storm\": [\n");
-    for (i, s) in storm.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"leaves\": {}, \"events\": {}, \"wall_s\": {:.4}, \
-             \"events_per_sec\": {:.0}, \"vs_pinned\": {}}}{}\n",
-            s.leaves,
-            s.events,
-            s.wall_s,
-            s.events_per_sec,
-            s.vs_pinned
-                .map_or("null".to_string(), |r| format!("{r:.3}")),
-            if i + 1 == storm.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("  ],\n  \"knn\": [\n");
-    for (i, k) in knn.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"homes\": {}, \"naive_graph_s\": {:.6}, \"blocked_graph_s\": {:.6}, \
-             \"graph_speedup\": {:.2}, \"naive_epoch_s\": {:.6}, \"blocked_epoch_s\": {:.6}, \
-             \"epoch_speedup\": {:.2}}}{}\n",
-            k.homes,
-            k.naive_graph_s,
-            k.blocked_graph_s,
-            k.graph_speedup(),
-            k.naive_epoch_s,
-            k.blocked_epoch_s,
-            k.epoch_speedup(),
-            if i + 1 == knn.len() { "" } else { "," }
-        ));
-    }
-    let knn_1k = knn.iter().find(|k| k.homes == 1000).expect("1k cell swept");
-    let storm_256 = storm.iter().find(|s| s.leaves == 256).expect("256 leaves");
-    let churn_gate = churn
-        .iter()
-        .find(|c| c.depth == 65_536)
-        .expect("depth 65536 swept");
-    body.push_str(&format!(
-        "  ],\n  \"acceptance\": {{\
-         \"knn_graph_speedup_at_1k\": {:.2}, \"knn_required\": {KNN_REQUIRED_SPEEDUP:.1}, \
-         \"knn_epoch_speedup_at_1k\": {:.2}, \"knn_epoch_required\": {KNN_EPOCH_REQUIRED_SPEEDUP:.1}, \
-         \"churn_ratio_at_65536\": {:.3}, \"churn_required\": {CHURN_REQUIRED_RATIO:.2}, \
-         \"storm_vs_pinned\": {:.3}, \"storm_required\": {STORM_REQUIRED_RATIO:.2}}}\n}}\n",
-        knn_1k.graph_speedup(),
-        knn_1k.epoch_speedup(),
-        churn_gate.ratio(),
-        storm_256.vs_pinned.expect("256-leaf cell carries the ratio"),
-    ));
-    std::fs::write(path, body)
-}
-
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Engine);
     println!(
         "xlf-engine hot-path: scheduler churn, dispatch storm, kNN correlator{}",
         if args.smoke { " (smoke)" } else { "" }
@@ -563,8 +436,68 @@ fn main() {
         storm_256.vs_pinned.unwrap()
     );
 
-    match write_bench_json(&args.json, args.smoke, &churn, &storm, &knn) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "engine-hotpath")
+            .field("smoke", args.smoke)
+            .field(
+                "pinned_pre_overhaul_storm_events_per_sec",
+                Fixed(PRE_OVERHAUL_STORM_EVENTS_PER_SEC, 0),
+            )
+            .rows(
+                "churn",
+                churn.iter().map(|c| {
+                    Obj::new()
+                        .field("depth", c.depth)
+                        .field("arena_events_per_sec", Fixed(c.arena_eps, 0))
+                        .field("naive_events_per_sec", Fixed(c.naive_eps, 0))
+                        .field("ratio", Fixed(c.ratio(), 3))
+                }),
+            )
+            .rows(
+                "storm",
+                storm.iter().map(|s| {
+                    Obj::new()
+                        .field("leaves", s.leaves)
+                        .field("events", s.events)
+                        .field("wall_s", Fixed(s.wall_s, 4))
+                        .field("events_per_sec", Fixed(s.events_per_sec, 0))
+                        .field("vs_pinned", s.vs_pinned.map(|r| Fixed(r, 3)))
+                }),
+            )
+            .rows(
+                "knn",
+                knn.iter().map(|k| {
+                    Obj::new()
+                        .field("homes", k.homes)
+                        .field("naive_graph_s", Fixed(k.naive_graph_s, 6))
+                        .field("blocked_graph_s", Fixed(k.blocked_graph_s, 6))
+                        .field("graph_speedup", Fixed(k.graph_speedup(), 2))
+                        .field("naive_epoch_s", Fixed(k.naive_epoch_s, 6))
+                        .field("blocked_epoch_s", Fixed(k.blocked_epoch_s, 6))
+                        .field("epoch_speedup", Fixed(k.epoch_speedup(), 2))
+                }),
+            )
+            .field(
+                "acceptance",
+                Obj::new()
+                    .field("knn_graph_speedup_at_1k", Fixed(knn_1k.graph_speedup(), 2))
+                    .field("knn_required", Fixed(KNN_REQUIRED_SPEEDUP, 1))
+                    .field("knn_epoch_speedup_at_1k", Fixed(knn_1k.epoch_speedup(), 2))
+                    .field("knn_epoch_required", Fixed(KNN_EPOCH_REQUIRED_SPEEDUP, 1))
+                    .field("churn_ratio_at_65536", Fixed(churn_gate.ratio(), 3))
+                    .field("churn_required", Fixed(CHURN_REQUIRED_RATIO, 2))
+                    .field(
+                        "storm_vs_pinned",
+                        Fixed(
+                            storm_256
+                                .vs_pinned
+                                .expect("256-leaf cell carries the ratio"),
+                            3,
+                        ),
+                    )
+                    .field("storm_required", Fixed(STORM_REQUIRED_RATIO, 2)),
+            ),
+    );
 }

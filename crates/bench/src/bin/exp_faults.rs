@@ -16,57 +16,13 @@
 //!     --homes 48 --workers 8 --json BENCH_faults.json
 //! ```
 
-use std::time::Instant;
-use xlf_bench::print_table;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
+use xlf_bench::timing::timed;
+use xlf_bench::{print_table, quiet_injected_panics};
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetFault, FleetMetrics, FleetReport, FleetSpec, HomeTemplate,
 };
-
-struct Args {
-    homes: usize,
-    workers: usize,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 48,
-        workers: 8,
-        json: "BENCH_faults.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--json" => args.json = value("path"),
-            other => panic!("unknown flag {other} (use --homes --workers --json)"),
-        }
-    }
-    args
-}
-
-/// Silences panic chatter from *injected* chaos panics (they are caught
-/// by the fleet supervisor and become report rows); every other panic
-/// still reports through the default hook.
-fn quiet_chaos_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if !msg.contains("chaos-panic") {
-            default_hook(info);
-        }
-    }));
-}
 
 /// The fault mix for a total fault share of `pct` percent, spread evenly
 /// over all six non-benign fault kinds.
@@ -145,10 +101,9 @@ impl Cell {
 
 fn run_cell(args: &Args, fault_pct: u32, retry_budget: u32) -> Cell {
     let metrics = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report =
-        run_fleet(&spec(args, fault_pct, retry_budget), &metrics).expect("fleet engine lost work");
-    let wall_s = t0.elapsed().as_secs_f64();
+    let (report, wall_s) = timed(|| {
+        run_fleet(&spec(args, fault_pct, retry_budget), &metrics).expect("fleet engine lost work")
+    });
     assert!(
         report.accounting_ok(args.homes),
         "conservation violated at fault {fault_pct}% retry {retry_budget}: {:?}",
@@ -164,8 +119,8 @@ fn run_cell(args: &Args, fault_pct: u32, retry_budget: u32) -> Cell {
 }
 
 fn main() {
-    quiet_chaos_panics();
-    let args = parse_args();
+    quiet_injected_panics();
+    let args = Args::from_env(Experiment::Faults);
     println!(
         "xlf-faults: {} homes, {} workers, fault share {{0,10,30}}% × retry budget {{0,1,3}}",
         args.homes, args.workers
@@ -278,54 +233,44 @@ fn main() {
         demo.totals
     );
 
-    match write_bench_json(&args, &grid, &demo, &demo_metrics) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    grid: &[Cell],
-    demo: &FleetReport,
-    demo_metrics: &FleetMetrics,
-) -> std::io::Result<()> {
-    let cells: Vec<String> = grid
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"fault_pct\": {}, \"retry_budget\": {}, \"homes_ok\": {}, \
-                 \"homes_degraded\": {}, \"homes_run_failed\": {}, \
-                 \"completion_rate\": {:.6}, \"verdict_quality\": {:.6}, \
-                 \"panics_caught\": {}, \"retries\": {}, \"retries_futile\": {}, \
-                 \"wall_s\": {:.3}}}",
-                c.fault_pct,
-                c.retry_budget,
-                c.report.totals.homes_ok,
-                c.report.totals.homes_degraded,
-                c.report.totals.homes_run_failed,
-                c.completion_rate(args.homes),
-                c.verdict_quality(),
-                c.metrics.panics_caught.get(),
-                c.metrics.retries.get(),
-                c.metrics.retries_futile.get(),
-                c.wall_s,
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "faults")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .rows(
+                "grid",
+                grid.iter().map(|c| {
+                    Obj::new()
+                        .field("fault_pct", c.fault_pct)
+                        .field("retry_budget", c.retry_budget)
+                        .field("homes_ok", c.report.totals.homes_ok)
+                        .field("homes_degraded", c.report.totals.homes_degraded)
+                        .field("homes_run_failed", c.report.totals.homes_run_failed)
+                        .field("completion_rate", Fixed(c.completion_rate(args.homes), 6))
+                        .field("verdict_quality", Fixed(c.verdict_quality(), 6))
+                        .field("panics_caught", c.metrics.panics_caught.get())
+                        .field("retries", c.metrics.retries.get())
+                        .field("retries_futile", c.metrics.retries_futile.get())
+                        .field("wall_s", Fixed(c.wall_s, 3))
+                }),
             )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"faults\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"grid\": [\n    {}\n  ],\n  \"degraded_demo\": {{\"step_event_budget\": 1000, \
-         \"homes_ok\": {}, \"homes_degraded\": {}, \"homes_run_failed\": {}, \
-         \"deadline_truncations\": {}}},\n  \"conservation\": \"ok + degraded + failed + \
-         build_failed == homes held for every cell\"\n}}\n",
-        args.homes,
-        args.workers,
-        cells.join(",\n    "),
-        demo.totals.homes_ok,
-        demo.totals.homes_degraded,
-        demo.totals.homes_run_failed,
-        demo_metrics.deadline_truncations.get(),
+            .field(
+                "degraded_demo",
+                Obj::new()
+                    .field("step_event_budget", 1000u64)
+                    .field("homes_ok", demo.totals.homes_ok)
+                    .field("homes_degraded", demo.totals.homes_degraded)
+                    .field("homes_run_failed", demo.totals.homes_run_failed)
+                    .field(
+                        "deadline_truncations",
+                        demo_metrics.deadline_truncations.get(),
+                    ),
+            )
+            .field(
+                "conservation",
+                "ok + degraded + failed + build_failed == homes held for every cell",
+            ),
     );
-    std::fs::write(&args.json, json)
 }

@@ -12,66 +12,15 @@
 //!     --report FLEET_report.json --json BENCH_fleet.json
 //! ```
 
-use std::time::Instant;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj, Raw};
 use xlf_bench::print_table;
+use xlf_bench::timing::{interleaved, timed};
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate,
     FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_simnet::Duration;
-
-struct Args {
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    /// Evidence-bus capacity for the main run (None = unbounded).
-    capacity: Option<usize>,
-    /// Timing repeats for the baseline/sharded pair (min-of-N wall time).
-    repeats: usize,
-    /// Where to dump the main run's full `FleetReport::to_json` ("" = skip).
-    report: String,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 1000,
-        workers: 8,
-        horizon_s: 420,
-        capacity: None,
-        repeats: 1,
-        report: String::new(),
-        json: "BENCH_fleet.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--capacity" => {
-                args.capacity = Some(value("count").parse().expect("--capacity: integer"))
-            }
-            "--repeats" => args.repeats = value("count").parse().expect("--repeats: integer"),
-            "--report" => args.report = value("path"),
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} \
-                 (use --homes --workers --horizon --capacity --repeats --report --json)"
-            ),
-        }
-    }
-    assert!(args.repeats >= 1, "--repeats must be at least 1");
-    args
-}
 
 fn spec(args: &Args, workers: usize, capacity: Option<usize>) -> FleetSpec {
     FleetSpec::new(0xF1EE_2019, args.homes)
@@ -93,22 +42,11 @@ fn spec(args: &Args, workers: usize, capacity: Option<usize>) -> FleetSpec {
         .with_evidence_capacity(capacity)
 }
 
-fn timed_run(spec: &FleetSpec) -> (FleetReport, FleetMetrics, f64) {
+/// One fleet run: its report and metrics, and its wall time.
+fn fleet_run(spec: &FleetSpec) -> ((FleetReport, FleetMetrics), f64) {
     let metrics = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report = run_fleet(spec, &metrics).expect("fleet engine lost work");
-    (report, metrics, t0.elapsed().as_secs_f64())
-}
-
-/// Min-of-N wall time: runs are deterministic, so only the clock varies;
-/// the minimum is the least-noise estimate on a shared CI box.
-fn best_of(repeats: usize, spec: &FleetSpec) -> (FleetReport, FleetMetrics, f64) {
-    let (report, metrics, mut wall_s) = timed_run(spec);
-    for _ in 1..repeats {
-        let (_, _, secs) = timed_run(spec);
-        wall_s = wall_s.min(secs);
-    }
-    (report, metrics, wall_s)
+    let (report, wall_s) = timed(|| run_fleet(spec, &metrics).expect("fleet engine lost work"));
+    ((report, metrics), wall_s)
 }
 
 /// Homes under an *active* attack — the ones the home/fleet tiers can be
@@ -148,7 +86,7 @@ impl SweepPoint {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Fleet);
     println!(
         "xlf-fleet: {} homes, horizon {} s, 1 worker vs {} workers, capacity {}",
         args.homes,
@@ -158,9 +96,17 @@ fn main() {
             .map_or("unbounded".to_string(), |c| c.to_string()),
     );
 
-    let (baseline, _, baseline_s) = best_of(args.repeats, &spec(&args, 1, args.capacity));
-    let (report, metrics, sharded_s) =
-        best_of(args.repeats, &spec(&args, args.workers, args.capacity));
+    // Min of `--repeats` interleaved rounds per side; each side keeps
+    // its first run's report and metrics.
+    let [baseline, sharded] = interleaved(
+        args.repeats,
+        [
+            &mut || fleet_run(&spec(&args, 1, args.capacity)),
+            &mut || fleet_run(&spec(&args, args.workers, args.capacity)),
+        ],
+    );
+    let ((baseline, _), baseline_s) = (baseline.first, baseline.secs);
+    let ((report, metrics), sharded_s) = (sharded.first, sharded.secs);
     // The engine clamps the worker pool to the machine's hardware
     // threads (the spec value is retained for determinism stamping), so
     // the "sharded" run never pays oversubscription context-switch cost.
@@ -237,7 +183,7 @@ fn main() {
         let (rep, wall_s) = if cap == args.capacity {
             (report.clone(), sharded_s)
         } else {
-            let (rep, _, secs) = timed_run(&spec(&args, args.workers, cap));
+            let ((rep, _), secs) = fleet_run(&spec(&args, args.workers, cap));
             (rep, secs)
         };
         sweep.push(SweepPoint {
@@ -352,91 +298,48 @@ fn main() {
         }
     }
 
-    match write_bench_json(
-        &args,
-        &report,
-        &metrics,
-        &sweep,
-        baseline_s,
-        sharded_s,
-        deterministic,
-        main_deviants_flagged,
-    ) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_bench_json(
-    args: &Args,
-    report: &FleetReport,
-    metrics: &FleetMetrics,
-    sweep: &[SweepPoint],
-    baseline_s: f64,
-    sharded_s: f64,
-    deterministic: bool,
-    deviants_flagged: bool,
-) -> std::io::Result<()> {
-    let attacked = attacked_ids(report).len();
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"capacity\": {}, \"evidence\": {}, \"shed\": {}, \"shed_rate\": {:.6}, \
-                 \"homes_shedding\": {}, \"flagged\": {}, \"wall_s\": {:.3}}}",
-                p.capacity.map_or("null".to_string(), |c| c.to_string()),
-                p.report.totals.evidence,
-                p.report.totals.evidence_shed,
-                p.report.totals.evidence_shed_rate(),
-                p.homes_shedding(),
-                p.report.flagged.len(),
-                p.wall_s,
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "fleet")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .field("workers_effective", metrics.workers_effective.get())
+            .field("repeats", args.repeats)
+            .field("horizon_s", args.horizon_s)
+            .field("capacity", args.capacity)
+            .field("baseline_s", Fixed(baseline_s, 3))
+            .field("sharded_s", Fixed(sharded_s, 3))
+            .field("homes_per_sec", Fixed(args.homes as f64 / sharded_s, 1))
+            .field("speedup", Fixed(baseline_s / sharded_s, 2))
+            .field("build_cpu_s", Fixed(build_cpu_s, 3))
+            .field("step_cpu_s", Fixed(step_cpu_s, 3))
+            .field("report_cpu_s", Fixed(report_cpu_s, 3))
+            .field("aggregate_cpu_s", Fixed(aggregate_cpu_s, 3))
+            .field(
+                "homes_per_sec_step",
+                Fixed(args.homes as f64 / step_cpu_s.max(1e-9), 1),
             )
-        })
-        .collect();
-    // Phase-split accounting (satellite of the hot-path overhaul):
-    // homes/s as one number hid where time went — build (home stamping),
-    // step (simulation slices), and aggregate (cross-home correlation)
-    // are now reported separately, as CPU seconds summed across workers.
-    let build_cpu_s = metrics.build_us.sum_us() as f64 / 1e6;
-    let step_cpu_s = metrics.step_us.sum_us() as f64 / 1e6;
-    let report_cpu_s = metrics.report_us.sum_us() as f64 / 1e6;
-    let aggregate_cpu_s = metrics.aggregate_us.sum_us() as f64 / 1e6;
-    let json = format!(
-        "{{\n  \"experiment\": \"fleet\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"workers_effective\": {},\n  \"repeats\": {},\n  \
-         \"horizon_s\": {},\n  \"capacity\": {},\n  \"baseline_s\": {:.3},\n  \
-         \"sharded_s\": {:.3},\n  \"homes_per_sec\": {:.1},\n  \"speedup\": {:.2},\n  \
-         \"build_cpu_s\": {:.3},\n  \"step_cpu_s\": {:.3},\n  \"report_cpu_s\": {:.3},\n  \
-         \"aggregate_cpu_s\": {:.3},\n  \"homes_per_sec_step\": {:.1},\n  \
-         \"deterministic\": {},\n  \"attacked_homes\": {},\n  \"flagged_homes\": {},\n  \
-         \"deviants_flagged\": {},\n  \"communities\": {},\n  \"threshold\": {:.6},\n  \
-         \"evidence_shed\": {},\n  \"capacity_sweep\": [\n    {}\n  ],\n  \"metrics\": {}\n}}\n",
-        args.homes,
-        args.workers,
-        metrics.workers_effective.get(),
-        args.repeats,
-        args.horizon_s,
-        args.capacity.map_or("null".to_string(), |c| c.to_string()),
-        baseline_s,
-        sharded_s,
-        args.homes as f64 / sharded_s,
-        baseline_s / sharded_s,
-        build_cpu_s,
-        step_cpu_s,
-        report_cpu_s,
-        aggregate_cpu_s,
-        args.homes as f64 / step_cpu_s.max(1e-9),
-        deterministic,
-        attacked,
-        report.flagged.len(),
-        deviants_flagged,
-        report.communities,
-        report.threshold,
-        report.totals.evidence_shed,
-        sweep_json.join(",\n    "),
-        metrics.to_json(),
+            .field("deterministic", deterministic)
+            .field("attacked_homes", attacked.len())
+            .field("flagged_homes", report.flagged.len())
+            .field("deviants_flagged", main_deviants_flagged)
+            .field("communities", report.communities)
+            .field("threshold", Fixed(report.threshold, 6))
+            .field("evidence_shed", report.totals.evidence_shed)
+            .rows(
+                "capacity_sweep",
+                sweep.iter().map(|p| {
+                    Obj::new()
+                        .field("capacity", p.capacity)
+                        .field("evidence", p.report.totals.evidence)
+                        .field("shed", p.report.totals.evidence_shed)
+                        .field("shed_rate", Fixed(p.report.totals.evidence_shed_rate(), 6))
+                        .field("homes_shedding", p.homes_shedding())
+                        .field("flagged", p.report.flagged.len())
+                        .field("wall_s", Fixed(p.wall_s, 3))
+                }),
+            )
+            .field("metrics", Raw(&metrics.to_json())),
     );
-    std::fs::write(&args.json, json)
 }

@@ -22,6 +22,8 @@
 //! ```
 
 use std::time::Instant;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
 use xlf_bench::print_table;
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, OnboardingSpec,
@@ -29,41 +31,6 @@ use xlf_fleet::{
 };
 use xlf_onboard::sweep;
 use xlf_simnet::Duration;
-
-struct Args {
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 64,
-        workers: 8,
-        horizon_s: 120,
-        json: "BENCH_onboard.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--json" => args.json = value("path"),
-            other => panic!("unknown flag {other} (use --homes --workers --horizon --json)"),
-        }
-    }
-    args
-}
 
 fn spec(args: &Args, workers: usize, attacks: Vec<(FleetAttack, u32)>) -> FleetSpec {
     FleetSpec::new(0x0B0A_4D13, args.homes)
@@ -82,7 +49,7 @@ struct Variant {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Onboard);
     println!(
         "xlf-onboard: {} homes, horizon {} s, {} workers, CoAP over 6LoWPAN, \
          ACE scoped tokens",
@@ -310,89 +277,57 @@ fn main() {
         replay.denied, rogue.denied, benign.admitted, benign.energy_mj,
     );
 
-    match write_bench_json(&args, &plans, &variants, byte_identical) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    plans: &[xlf_onboard::ClassPlan],
-    variants: &[Variant],
-    byte_identical: bool,
-) -> std::io::Result<()> {
-    let sweep_rows: Vec<String> = plans
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"class\": \"{:?}\", \"key_floor_bits\": {}, \"cipher\": {}, \
-                 \"throughput_bps\": {}, \"handshake_energy_mj\": {}}}",
-                p.class,
-                p.key_floor_bits,
-                p.choice
-                    .as_ref()
-                    .map_or("null".to_string(), |c| format!("\"{}\"", c.info.name)),
-                p.choice
-                    .as_ref()
-                    .map_or("null".to_string(), |c| format!("{:.1}", c.throughput_bps)),
-                p.choice.as_ref().map_or("null".to_string(), |c| format!(
-                    "{:.6}",
-                    c.handshake_energy_mj
-                )),
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "onboard")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .field("horizon_s", args.horizon_s)
+            .field("byte_identical_layouts", byte_identical)
+            .rows(
+                "sweep",
+                plans.iter().map(|p| {
+                    let choice = p.choice.as_ref();
+                    Obj::new()
+                        .field("class", format!("{:?}", p.class))
+                        .field("key_floor_bits", p.key_floor_bits)
+                        .field("cipher", choice.map(|c| c.info.name))
+                        .field("throughput_bps", choice.map(|c| Fixed(c.throughput_bps, 1)))
+                        .field(
+                            "handshake_energy_mj",
+                            choice.map(|c| Fixed(c.handshake_energy_mj, 6)),
+                        )
+                }),
             )
-        })
-        .collect();
-    let runs: Vec<String> = variants
-        .iter()
-        .map(|v| {
-            let s = v.report.onboarding.as_ref().expect("onboarding section");
-            let classes: Vec<String> = s
-                .classes
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"class\": \"{}\", \"cipher\": {}, \"joins\": {}, \
-                         \"admitted\": {}, \"mean_latency_ms\": {:.3}, \
-                         \"mean_energy_mj\": {:.6}}}",
-                        c.class,
-                        c.cipher.map_or("null".to_string(), |n| format!("\"{n}\"")),
-                        c.joins,
-                        c.admitted,
-                        c.mean_latency_ms,
-                        c.mean_energy_mj,
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"variant\": \"{}\", \"joins\": {}, \"admitted\": {}, \"denied\": {}, \
-                 \"rogue_admissions\": {}, \"retransmissions\": {}, \"bytes_sent\": {}, \
-                 \"energy_mj\": {:.6}, \"flagged\": {}, \"wall_s\": {:.3}, \
-                 \"classes\": [{}]}}",
-                v.label,
-                s.joins,
-                s.admitted,
-                s.denied,
-                s.rogue_admissions,
-                s.retransmissions,
-                s.bytes_sent,
-                s.energy_mj,
-                v.report.flagged.len(),
-                v.wall_s,
-                classes.join(", "),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"onboard\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"byte_identical_layouts\": {},\n  \"sweep\": [\n    {}\n  ],\n  \
-         \"runs\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        byte_identical,
-        sweep_rows.join(",\n    "),
-        runs.join(",\n    "),
+            .rows(
+                "runs",
+                variants.iter().map(|v| {
+                    let s = v.report.onboarding.as_ref().expect("onboarding section");
+                    Obj::new()
+                        .field("variant", v.label)
+                        .field("joins", s.joins)
+                        .field("admitted", s.admitted)
+                        .field("denied", s.denied)
+                        .field("rogue_admissions", s.rogue_admissions)
+                        .field("retransmissions", s.retransmissions)
+                        .field("bytes_sent", s.bytes_sent)
+                        .field("energy_mj", Fixed(s.energy_mj, 6))
+                        .field("flagged", v.report.flagged.len())
+                        .field("wall_s", Fixed(v.wall_s, 3))
+                        .rows(
+                            "classes",
+                            s.classes.iter().map(|c| {
+                                Obj::new()
+                                    .field("class", &c.class)
+                                    .field("cipher", c.cipher)
+                                    .field("joins", c.joins)
+                                    .field("admitted", c.admitted)
+                                    .field("mean_latency_ms", Fixed(c.mean_latency_ms, 3))
+                                    .field("mean_energy_mj", Fixed(c.mean_energy_mj, 6))
+                            }),
+                        )
+                }),
+            ),
     );
-    std::fs::write(&args.json, json)
 }

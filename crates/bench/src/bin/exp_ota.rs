@@ -17,6 +17,8 @@
 //! ```
 
 use std::time::Instant;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
 use xlf_bench::print_table;
 use xlf_device::firmware::Version;
 use xlf_fleet::{
@@ -24,52 +26,6 @@ use xlf_fleet::{
     FleetReport, FleetSpec, FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_simnet::Duration;
-
-struct Args {
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    snapshot_every: Option<u64>,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 64,
-        workers: 8,
-        horizon_s: 420,
-        snapshot_every: None,
-        json: "BENCH_ota.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value("epochs")
-                        .parse()
-                        .expect("--snapshot-every: integer epochs"),
-                )
-            }
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} (use --homes --workers --horizon --snapshot-every --json)"
-            ),
-        }
-    }
-    args
-}
 
 const INTERVAL_S: u64 = 15;
 const WAVES: [u32; 4] = [10, 30, 60, 100];
@@ -129,7 +85,7 @@ impl Variant {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Ota);
     println!(
         "xlf-ota: {} homes, horizon {} s, {} workers, waves {:?} @ every 3 epochs ({} s interval)",
         args.homes, args.horizon_s, args.workers, WAVES, INTERVAL_S,
@@ -264,68 +220,45 @@ fn main() {
         gated.rollout_pct, gated.compromised, ungated.compromised, audit.remediated,
     );
 
-    match write_bench_json(&args, &variants, byte_identical) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    variants: &[Variant],
-    byte_identical: bool,
-) -> std::io::Result<()> {
-    let runs: Vec<String> = variants
-        .iter()
-        .map(|v| {
-            let c = v.campaign();
-            format!(
-                "{{\"variant\": \"{}\", \"tampered\": {}, \"gated\": {}, \"targets\": {}, \
-                 \"rollout_pct\": {}, \"updated\": {}, \"rejected\": {}, \"compromised\": {}, \
-                 \"rolled_back\": {}, \"quarantined\": {}, \"halted_at_wave\": {}, \
-                 \"halt_epoch\": {}, \"contained\": {}, \"waves_launched\": {}, \
-                 \"wall_s\": {:.3}}}",
-                v.label,
-                c.tampered,
-                c.gated,
-                c.targets,
-                c.rollout_pct,
-                c.updated,
-                c.rejected,
-                c.compromised,
-                c.rolled_back,
-                c.quarantined,
-                c.halted_at_wave
-                    .map_or("null".to_string(), |w| w.to_string()),
-                c.halt_epoch.map_or("null".to_string(), |e| e.to_string()),
-                c.contained,
-                c.waves.len(),
-                v.wall_s,
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "ota")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .field("horizon_s", args.horizon_s)
+            .field("interval_s", INTERVAL_S)
+            .field("waves", WAVES.as_slice())
+            .field("byte_identical_workers", byte_identical)
+            .field(
+                "config_audit",
+                Obj::new()
+                    .field("every", audit.every)
+                    .field("drifted", audit.drifted)
+                    .field("detected", audit.detected)
+                    .field("remediated", audit.remediated),
             )
-        })
-        .collect();
-    let audit = variants[0]
-        .report
-        .mgmt
-        .as_ref()
-        .and_then(|m| m.config_audit)
-        .expect("config audit section");
-    let json = format!(
-        "{{\n  \"experiment\": \"ota\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"interval_s\": {},\n  \"waves\": {:?},\n  \
-         \"byte_identical_workers\": {},\n  \"config_audit\": {{\"every\": {}, \
-         \"drifted\": {}, \"detected\": {}, \"remediated\": {}}},\n  \"runs\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        INTERVAL_S,
-        WAVES,
-        byte_identical,
-        audit.every,
-        audit.drifted,
-        audit.detected,
-        audit.remediated,
-        runs.join(",\n    "),
+            .rows(
+                "runs",
+                variants.iter().map(|v| {
+                    let c = v.campaign();
+                    Obj::new()
+                        .field("variant", v.label)
+                        .field("tampered", c.tampered)
+                        .field("gated", c.gated)
+                        .field("targets", c.targets)
+                        .field("rollout_pct", c.rollout_pct)
+                        .field("updated", c.updated)
+                        .field("rejected", c.rejected)
+                        .field("compromised", c.compromised)
+                        .field("rolled_back", c.rolled_back)
+                        .field("quarantined", c.quarantined)
+                        .field("halted_at_wave", c.halted_at_wave)
+                        .field("halt_epoch", c.halt_epoch)
+                        .field("contained", c.contained)
+                        .field("waves_launched", c.waves.len())
+                        .field("wall_s", Fixed(v.wall_s, 3))
+                }),
+            ),
     );
-    std::fs::write(&args.json, json)
 }

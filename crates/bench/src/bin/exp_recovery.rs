@@ -13,8 +13,8 @@
 //!
 //! Self-asserting acceptance: every resumed report is **byte-identical**
 //! to the straight-through run, and the steady-state overhead of the
-//! every-5 cadence (best-of-`--repeats` wall-time vs. snapshots off) is
-//! at most 3%.
+//! every-5 cadence (min of `--repeats` interleaved rounds vs. snapshots
+//! off) is at most 3%.
 //!
 //! ```text
 //! cargo run --release -p xlf-bench --bin exp_recovery -- \
@@ -22,8 +22,10 @@
 //! ```
 
 use std::path::PathBuf;
-use std::time::Instant;
-use xlf_bench::print_table;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
+use xlf_bench::timing::{interleaved, timed};
+use xlf_bench::{print_table, quiet_injected_panics};
 use xlf_device::firmware::Version;
 use xlf_fleet::{
     run_fleet, run_fleet_chaos, run_fleet_resume, scratch_dir, CampaignSpec, ConfigAuditSpec,
@@ -32,66 +34,7 @@ use xlf_fleet::{
 };
 use xlf_simnet::Duration;
 
-struct Args {
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    repeats: usize,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 32,
-        workers: 4,
-        horizon_s: 420,
-        repeats: 3,
-        json: "BENCH_recovery.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--repeats" => args.repeats = value("count").parse().expect("--repeats: integer"),
-            "--json" => args.json = value("path"),
-            other => {
-                panic!("unknown flag {other} (use --homes --workers --horizon --repeats --json)")
-            }
-        }
-    }
-    assert!(args.repeats >= 1, "--repeats must be at least 1");
-    args
-}
-
 const INTERVAL_S: u64 = 60;
-
-/// Silences panic chatter from the *injected* panics this experiment
-/// runs on (home-level chaos panics and the chaos kills themselves);
-/// every other panic still reports through the default hook.
-fn quiet_injected_panics() {
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied())
-            .unwrap_or("");
-        if !msg.contains("chaos-panic") {
-            default_hook(info);
-        }
-    }));
-}
 
 /// The stamped fleet every cadence shares: faulted homes (failed rows in
 /// the slots), a tampered gated campaign (engines + command bus mutate
@@ -124,25 +67,15 @@ fn spec_with_cadence(args: &Args, every: Option<u64>, dir: &PathBuf) -> FleetSpe
     }
 }
 
-/// Best-of-`repeats` wall-time for a straight-through run (minimum over
-/// repeats: the standard estimator for "how fast does this go absent
-/// scheduler noise", which a 1-core CI container has plenty of).
-fn best_wall_s(args: &Args, every: Option<u64>) -> (f64, String) {
-    let mut best = f64::INFINITY;
-    let mut json = String::new();
-    for _ in 0..args.repeats {
-        let dir = scratch_dir("bench-straight");
-        let spec = spec_with_cadence(args, every, &dir);
-        let t0 = Instant::now();
-        let report = run_fleet(&spec, &FleetMetrics::new()).expect("fleet engine lost work");
-        let wall = t0.elapsed().as_secs_f64();
-        if wall < best {
-            best = wall;
-        }
-        json = report.to_json();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    (best, json)
+/// One straight-through run at cadence `every`: its report JSON and
+/// wall time.
+fn straight_run(args: &Args, every: Option<u64>) -> (String, f64) {
+    let dir = scratch_dir("bench-straight");
+    let spec = spec_with_cadence(args, every, &dir);
+    let (report, wall_s) =
+        timed(|| run_fleet(&spec, &FleetMetrics::new()).expect("fleet engine lost work"));
+    let _ = std::fs::remove_dir_all(&dir);
+    (report.to_json(), wall_s)
 }
 
 /// One kill-and-resume measurement.
@@ -165,9 +98,8 @@ fn kill_and_resume(args: &Args, every: u64, kill: KillPoint, golden: &str) -> Ki
         other => panic!("kill {kill} did not fire: {other:?}"),
     }
     let resumed = FleetMetrics::new();
-    let t0 = Instant::now();
-    let report = run_fleet_resume(&spec, &resumed).expect("resume completes");
-    let resume_wall_s = t0.elapsed().as_secs_f64();
+    let (report, resume_wall_s) =
+        timed(|| run_fleet_resume(&spec, &resumed).expect("resume completes"));
     let _ = std::fs::remove_dir_all(&dir);
     KillRow {
         every,
@@ -182,20 +114,28 @@ fn kill_and_resume(args: &Args, every: u64, kill: KillPoint, golden: &str) -> Ki
 
 fn main() {
     quiet_injected_panics();
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Recovery);
     let epochs = base_spec(&args).stream_epochs();
     println!(
         "xlf-recovery: {} homes, horizon {} s ({} epochs @ {} s), {} workers, \
-         cadence sweep {{off, every-5, every-1}}, best of {} repeats",
+         cadence sweep {{off, every-5, every-1}}, min of {} interleaved rounds",
         args.homes, args.horizon_s, epochs, INTERVAL_S, args.workers, args.repeats,
     );
     assert!(epochs >= 5, "horizon too short for the kill-point sweep");
 
-    // Straight-through walls per cadence; the snapshotting goldens are
-    // also the byte-identity references for the kill sweep.
-    let (wall_off, _) = best_wall_s(&args, None);
-    let (wall_e5, golden_e5) = best_wall_s(&args, Some(5));
-    let (wall_e1, golden_e1) = best_wall_s(&args, Some(1));
+    // Straight-through walls per cadence, min of `--repeats` interleaved
+    // rounds; the snapshotting goldens (first run of each) are also the
+    // byte-identity references for the kill sweep.
+    let [off, e5, e1] = interleaved(
+        args.repeats,
+        [
+            &mut || straight_run(&args, None),
+            &mut || straight_run(&args, Some(5)),
+            &mut || straight_run(&args, Some(1)),
+        ],
+    );
+    let (wall_off, wall_e5, wall_e1) = (off.secs, e5.secs, e1.secs);
+    let (golden_e5, golden_e1) = (e5.first, e1.first);
     let overhead_e5 = (wall_e5 - wall_off) / wall_off;
     let overhead_e1 = (wall_e1 - wall_off) / wall_off;
 
@@ -271,7 +211,7 @@ fn main() {
     }
 
     // Acceptance 3: the every-5 cadence costs at most 3% wall-time over
-    // snapshots-off (best-of-repeats minimums on both sides).
+    // snapshots-off (minimums of interleaved rounds on both sides).
     let within_3pct = overhead_e5 <= 0.03;
     assert!(
         within_3pct,
@@ -289,64 +229,38 @@ fn main() {
         kills.len(),
     );
 
-    match write_bench_json(
-        &args,
-        epochs,
-        (wall_off, wall_e5, wall_e1),
-        (overhead_e5, within_3pct),
-        byte_identical,
-        &rows,
-    ) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    epochs: u64,
-    (wall_off, wall_e5, wall_e1): (f64, f64, f64),
-    (overhead_e5, within_3pct): (f64, bool),
-    byte_identical: bool,
-    rows: &[KillRow],
-) -> std::io::Result<()> {
-    let kills: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"every\": {}, \"kill\": \"{}\", \"replayed_epochs\": {}, \
-                 \"snapshots_written\": {}, \"snapshot_bytes\": {}, \
-                 \"resume_wall_s\": {:.3}, \"byte_identical\": {}}}",
-                r.every,
-                r.kill,
-                r.replayed_epochs,
-                r.snapshots_written,
-                r.snapshot_bytes,
-                r.resume_wall_s,
-                r.identical,
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "recovery")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .field("horizon_s", args.horizon_s)
+            .field("interval_s", INTERVAL_S)
+            .field("epochs", epochs)
+            .field("repeats", args.repeats)
+            .field("byte_identical_resume", byte_identical)
+            .field(
+                "overhead",
+                Obj::new()
+                    .field("baseline_wall_s", Fixed(wall_off, 3))
+                    .field("every5_wall_s", Fixed(wall_e5, 3))
+                    .field("every1_wall_s", Fixed(wall_e1, 3))
+                    .field("pct_at_every5", Fixed(overhead_e5 * 100.0, 2))
+                    .field("within_3pct", within_3pct),
             )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"recovery\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"interval_s\": {},\n  \"epochs\": {},\n  \
-         \"repeats\": {},\n  \"byte_identical_resume\": {},\n  \
-         \"overhead\": {{\"baseline_wall_s\": {:.3}, \"every5_wall_s\": {:.3}, \
-         \"every1_wall_s\": {:.3}, \"pct_at_every5\": {:.2}, \"within_3pct\": {}}},\n  \
-         \"kills\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        INTERVAL_S,
-        epochs,
-        args.repeats,
-        byte_identical,
-        wall_off,
-        wall_e5,
-        wall_e1,
-        overhead_e5 * 100.0,
-        within_3pct,
-        kills.join(",\n    "),
+            .rows(
+                "kills",
+                rows.iter().map(|r| {
+                    Obj::new()
+                        .field("every", r.every)
+                        .field("kill", r.kill.to_string())
+                        .field("replayed_epochs", r.replayed_epochs)
+                        .field("snapshots_written", r.snapshots_written)
+                        .field("snapshot_bytes", r.snapshot_bytes)
+                        .field("resume_wall_s", Fixed(r.resume_wall_s, 3))
+                        .field("byte_identical", r.identical)
+                }),
+            ),
     );
-    std::fs::write(&args.json, json)
 }

@@ -16,57 +16,14 @@
 //! ```
 
 use std::time::Instant;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj, Raw};
 use xlf_bench::print_table;
 use xlf_fleet::{
     run_fleet, FleetAttack, FleetMetrics, FleetReport, FleetSpec, HomeTemplate, RowPolicy,
     FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_simnet::Duration;
-
-struct Args {
-    /// Large-tier fleet size; the small tier is a tenth of it.
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    /// Hard ceiling on any run's peak RSS (0 = no ceiling).
-    max_rss_mb: u64,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 100_000,
-        workers: 8,
-        horizon_s: 240,
-        max_rss_mb: 0,
-        json: "BENCH_scale.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = value("megabytes").parse().expect("--max-rss-mb: integer")
-            }
-            "--json" => args.json = value("path"),
-            other => {
-                panic!("unknown flag {other} (use --homes --workers --horizon --max-rss-mb --json)")
-            }
-        }
-    }
-    assert!(args.homes >= 100, "--homes must be at least 100");
-    args
-}
 
 /// A mostly-benign fleet (~1.6% active attacks) under candidates-only
 /// retention — the configuration the hierarchical tier exists for.
@@ -151,7 +108,7 @@ fn attacked_ids(report: &FleetReport) -> Vec<u64> {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Scale);
     let small_homes = args.homes / 10;
     let rss_resets = reset_peak_rss();
     if !rss_resets {
@@ -285,71 +242,37 @@ fn main() {
         );
     }
 
-    match write_bench_json(
-        &args,
-        small_homes,
-        &runs,
-        byte_identical_regions,
-        mem_ratio,
-        homes_ratio,
-        sublinear_memory,
-    ) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    small_homes: usize,
-    runs: &[&TierRun; 4],
-    byte_identical_regions: bool,
-    mem_ratio: Option<f64>,
-    homes_ratio: f64,
-    sublinear_memory: bool,
-) -> std::io::Result<()> {
-    let tiers: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"homes\": {}, \"regions\": {}, \"wall_s\": {:.3}, \
-                 \"homes_per_sec\": {:.1}, \"peak_rss_mb\": {}, \"rows\": {}, \
-                 \"candidates\": {}, \"flagged\": {}, \"attacked\": {}, \
-                 \"evidence\": {}, \"communities\": {}}}",
-                r.homes,
-                r.regions,
-                r.wall_s,
-                r.homes as f64 / r.wall_s,
-                r.peak_rss_mb
-                    .map_or("null".to_string(), |mb| format!("{mb:.1}")),
-                r.report.rows.len(),
-                r.metrics.region_candidates.get(),
-                r.report.flagged.len(),
-                attacked_ids(&r.report).len(),
-                r.report.totals.evidence,
-                r.report.communities,
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "scale")
+            .field("schema_version", FLEET_REPORT_SCHEMA_VERSION)
+            .field("homes_small", small_homes)
+            .field("homes_large", args.homes)
+            .field("horizon_s", args.horizon_s)
+            .field("workers", args.workers)
+            .field("row_policy", "candidates")
+            .field("byte_identical_regions", byte_identical_regions)
+            .field("homes_ratio", Fixed(homes_ratio, 1))
+            .field("mem_ratio", mem_ratio.map(|r| Fixed(r, 3)))
+            .field("sublinear_memory", sublinear_memory)
+            .rows(
+                "tiers",
+                runs.iter().map(|r| {
+                    Obj::new()
+                        .field("homes", r.homes)
+                        .field("regions", r.regions)
+                        .field("wall_s", Fixed(r.wall_s, 3))
+                        .field("homes_per_sec", Fixed(r.homes as f64 / r.wall_s, 1))
+                        .field("peak_rss_mb", r.peak_rss_mb.map(|mb| Fixed(mb, 1)))
+                        .field("rows", r.report.rows.len())
+                        .field("candidates", r.metrics.region_candidates.get())
+                        .field("flagged", r.report.flagged.len())
+                        .field("attacked", attacked_ids(&r.report).len())
+                        .field("evidence", r.report.totals.evidence)
+                        .field("communities", r.report.communities)
+                }),
             )
-        })
-        .collect();
-    let large = runs[3];
-    let json = format!(
-        "{{\n  \"experiment\": \"scale\",\n  \"schema_version\": {},\n  \
-         \"homes_small\": {},\n  \"homes_large\": {},\n  \"horizon_s\": {},\n  \
-         \"workers\": {},\n  \"row_policy\": \"candidates\",\n  \
-         \"byte_identical_regions\": {},\n  \"homes_ratio\": {:.1},\n  \
-         \"mem_ratio\": {},\n  \"sublinear_memory\": {},\n  \
-         \"tiers\": [\n    {}\n  ],\n  \"metrics\": {}\n}}\n",
-        FLEET_REPORT_SCHEMA_VERSION,
-        small_homes,
-        args.homes,
-        args.horizon_s,
-        args.workers,
-        byte_identical_regions,
-        homes_ratio,
-        mem_ratio.map_or("null".to_string(), |r| format!("{r:.3}")),
-        sublinear_memory,
-        tiers.join(",\n    "),
-        large.metrics.to_json(),
+            .field("metrics", Raw(&large.metrics.to_json())),
     );
-    std::fs::write(&args.json, json)
 }

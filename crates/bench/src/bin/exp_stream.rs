@@ -15,6 +15,8 @@
 //! ```
 
 use std::time::Instant;
+use xlf_bench::args::{Args, Experiment};
+use xlf_bench::json::{self, Fixed, Obj};
 use xlf_bench::print_table;
 use xlf_fleet::scratch_dir;
 use xlf_fleet::{
@@ -22,52 +24,6 @@ use xlf_fleet::{
     FLEET_REPORT_SCHEMA_VERSION,
 };
 use xlf_simnet::Duration;
-
-struct Args {
-    homes: usize,
-    workers: usize,
-    horizon_s: u64,
-    snapshot_every: Option<u64>,
-    json: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        homes: 48,
-        workers: 8,
-        horizon_s: 420,
-        snapshot_every: None,
-        json: "BENCH_stream.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{flag} needs a {what} value"))
-        };
-        match flag.as_str() {
-            "--homes" => args.homes = value("count").parse().expect("--homes: integer"),
-            "--workers" => args.workers = value("count").parse().expect("--workers: integer"),
-            "--horizon" => {
-                args.horizon_s = value("seconds")
-                    .parse()
-                    .expect("--horizon: integer seconds")
-            }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value("epochs")
-                        .parse()
-                        .expect("--snapshot-every: integer epochs"),
-                )
-            }
-            "--json" => args.json = value("path"),
-            other => panic!(
-                "unknown flag {other} (use --homes --workers --horizon --snapshot-every --json)"
-            ),
-        }
-    }
-    args
-}
 
 fn spec(args: &Args, interval_s: Option<u64>) -> FleetSpec {
     let mut spec = FleetSpec::new(0x57AE_2019, args.homes)
@@ -158,7 +114,7 @@ impl SweepPoint {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::from_env(Experiment::Stream);
     println!(
         "xlf-stream: {} homes, horizon {} s, {} workers, interval sweep {{batch, 60 s, 15 s}}",
         args.homes, args.horizon_s, args.workers,
@@ -282,58 +238,42 @@ fn main() {
         "fleet report JSON lost its schema version"
     );
 
-    match write_bench_json(&args, &sweep, &attacked, checkpoint_stable) {
-        Ok(()) => println!("Trajectory point written to {}.", args.json),
-        Err(e) => eprintln!("could not write {}: {e}", args.json),
-    }
-}
-
-fn write_bench_json(
-    args: &Args,
-    sweep: &[SweepPoint],
-    attacked: &[u64],
-    checkpoint_stable: bool,
-) -> std::io::Result<()> {
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|p| {
-            let latencies: Vec<String> = attacked
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{{\"home\": {h}, \"detect_s\": {}}}",
-                        p.detection_latency_s(*h, args.horizon_s)
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"interval_s\": {}, \"epochs\": {}, \"windows_ingested\": {}, \
-                 \"windows_shed\": {}, \"mean_detect_s\": {:.1}, \"new_alerts\": {}, \
-                 \"deduped\": {}, \"flagged\": {}, \"wall_s\": {:.3}, \
-                 \"detection_latency\": [{}]}}",
-                p.interval_s.map_or("null".to_string(), |s| s.to_string()),
-                p.report.epochs.as_ref().map_or(0, |e| e.count),
-                p.report.epochs.as_ref().map_or(0, |e| e.windows_ingested),
-                p.report.epochs.as_ref().map_or(0, |e| e.windows_shed),
-                p.mean_latency_s(attacked, args.horizon_s),
-                p.new_alerts(),
-                p.deduped(),
-                p.report.flagged.len(),
-                p.wall_s,
-                latencies.join(", "),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"stream\",\n  \"homes\": {},\n  \"workers\": {},\n  \
-         \"horizon_s\": {},\n  \"attacked_homes\": {},\n  \"verdicts_match_batch\": true,\n  \
-         \"checkpoint_stable\": {},\n  \"interval_sweep\": [\n    {}\n  ]\n}}\n",
-        args.homes,
-        args.workers,
-        args.horizon_s,
-        attacked.len(),
-        checkpoint_stable,
-        sweep_json.join(",\n    "),
+    json::write(
+        &args.json,
+        &Obj::new()
+            .field("experiment", "stream")
+            .field("homes", args.homes)
+            .field("workers", args.workers)
+            .field("horizon_s", args.horizon_s)
+            .field("attacked_homes", attacked.len())
+            .field("verdicts_match_batch", true)
+            .field("checkpoint_stable", checkpoint_stable)
+            .rows(
+                "interval_sweep",
+                sweep.iter().map(|p| {
+                    let epochs = p.report.epochs.as_ref();
+                    Obj::new()
+                        .field("interval_s", p.interval_s)
+                        .field("epochs", epochs.map_or(0, |e| e.count))
+                        .field("windows_ingested", epochs.map_or(0, |e| e.windows_ingested))
+                        .field("windows_shed", epochs.map_or(0, |e| e.windows_shed))
+                        .field(
+                            "mean_detect_s",
+                            Fixed(p.mean_latency_s(&attacked, args.horizon_s), 1),
+                        )
+                        .field("new_alerts", p.new_alerts())
+                        .field("deduped", p.deduped())
+                        .field("flagged", p.report.flagged.len())
+                        .field("wall_s", Fixed(p.wall_s, 3))
+                        .rows(
+                            "detection_latency",
+                            attacked.iter().map(|&h| {
+                                Obj::new()
+                                    .field("home", h)
+                                    .field("detect_s", p.detection_latency_s(h, args.horizon_s))
+                            }),
+                        )
+                }),
+            ),
     );
-    std::fs::write(&args.json, json)
 }

@@ -3,12 +3,17 @@
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper (see
 //! DESIGN.md §3 for the experiment index); this library holds the
-//! scenario builders and reporting helpers they share.
+//! scenario builders and reporting helpers they share, and the bench
+//! harness of the binaries that write `BENCH_*.json`: [`args`], [`json`]
+//! and [`timing`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
+pub mod json;
 pub mod scenarios;
+pub mod timing;
 
 /// Prints a Markdown-style table: header row, separator, data rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -44,6 +49,24 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", fmt_row(row));
     }
+}
+
+/// Silences the messages of injected `chaos-panic` home faults (the
+/// fleet supervisor catches them and turns them into report rows);
+/// every other panic still reports through the default hook.
+pub fn quiet_injected_panics() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| info.payload().downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if !msg.contains("chaos-panic") {
+            default_hook(info);
+        }
+    }));
 }
 
 /// Formats a byte count human-readably.
