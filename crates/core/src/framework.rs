@@ -241,6 +241,9 @@ pub struct XlfGateway {
     config: XlfConfig,
     cloud: NodeId,
     devices: BTreeMap<String, NodeId>,
+    /// `devices` inverted, so each upstream packet finds its device by
+    /// source node in one lookup.
+    device_names: BTreeMap<NodeId, String>,
     /// Network-access control + quarantine.
     pub nac: Nac,
     shaper: TrafficShaper,
@@ -299,6 +302,7 @@ impl XlfGateway {
             core,
             cloud,
             devices: BTreeMap::new(),
+            device_names: BTreeMap::new(),
             nac: Nac::new().with_bus(bus.clone()),
             shaper,
             monitor: NetMonitor::new().with_bus(bus.clone()),
@@ -321,7 +325,10 @@ impl XlfGateway {
     /// Registers a device behind the gateway, allowlisting its cloud path
     /// and its vendor hub name (the only destination NAC lets it resolve).
     pub fn register_device(&mut self, name: &str, node: NodeId) {
-        self.devices.insert(name.to_string(), node);
+        if let Some(old) = self.devices.insert(name.to_string(), node) {
+            self.device_names.remove(&old);
+        }
+        self.device_names.insert(node, name.to_string());
         self.nac.allow_node(name, self.cloud);
         self.nac.allow_destination(name, VENDOR_DNS_NAME);
     }
@@ -402,10 +409,7 @@ impl XlfGateway {
     }
 
     fn device_name_of(&self, node: NodeId) -> Option<String> {
-        self.devices
-            .iter()
-            .find(|(_, &id)| id == node)
-            .map(|(name, _)| name.clone())
+        self.device_names.get(&node).cloned()
     }
 
     fn handle_upstream(&mut self, ctx: &mut Context<'_>, mut packet: Packet, device: String) {

@@ -32,6 +32,7 @@ pub use rc5::Rc5;
 pub use seed::Seed;
 pub use simon::Simon128;
 pub use speck::Speck128;
+pub(crate) use speck::{join_words, split_words};
 pub use tea::{Tea, Xtea};
 pub use twine::Twine;
 

@@ -53,7 +53,14 @@ impl Speck128 {
     /// Returns [`CryptoError::InvalidKeyLength`] unless the key is 16 bytes.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
         check_key("SPECK128/128", &[16], key)?;
-        let (mut l, mut k) = block_words(key);
+        let (l, k) = block_words(key);
+        Ok(Self::from_key_words(l, k))
+    }
+
+    /// Creates an instance from a key already split into its big-endian
+    /// words (`l0`, `k0`), so callers holding a fixed-size key need no
+    /// length check.
+    pub(crate) fn from_key_words(mut l: u64, mut k: u64) -> Self {
         let mut round_keys = [0u64; ROUNDS];
         for (i, rk) in round_keys.iter_mut().enumerate() {
             *rk = k;
@@ -61,7 +68,7 @@ impl Speck128 {
             // index as "key".
             round(&mut l, &mut k, i as u64);
         }
-        Ok(Speck128 { round_keys })
+        Speck128 { round_keys }
     }
 
     /// Encrypts one block given as its two big-endian words `(x, y)`.
@@ -76,6 +83,18 @@ impl Speck128 {
         }
         (x, y)
     }
+}
+
+/// Splits a 16-byte block (or key) into its big-endian words.
+pub(crate) fn split_words(block: [u8; 16]) -> (u64, u64) {
+    let v = u128::from_be_bytes(block);
+    ((v >> 64) as u64, v as u64)
+}
+
+/// Joins big-endian words back into a 16-byte block
+/// (inverse of [`split_words`]).
+pub(crate) fn join_words(x: u64, y: u64) -> [u8; 16] {
+    ((u128::from(x) << 64) | u128::from(y)).to_be_bytes()
 }
 
 /// Splits a checked 16-byte block (or key) into its big-endian words.

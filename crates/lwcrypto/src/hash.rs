@@ -8,8 +8,7 @@
 //! extent SPECK is ideal; XLF uses it for firmware fingerprints and token
 //! binding inside the simulation only.
 
-use crate::ciphers::Speck128;
-use crate::BlockCipher;
+use crate::ciphers::{join_words, split_words, Speck128};
 
 /// Output size of [`LightHash`] in bytes.
 pub const DIGEST_SIZE: usize = 32;
@@ -54,26 +53,26 @@ impl LightHash {
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 16 {
-            let block: [u8; 16] = self.buffer[..16].try_into().expect("16 bytes");
-            self.compress(&block);
-            self.buffer.drain(..16);
+        let (blocks, _) = self.buffer.as_chunks::<16>();
+        for block in blocks {
+            compress(&mut self.state, block);
         }
+        let absorbed = blocks.len() * 16;
+        self.buffer.drain(..absorbed);
     }
 
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_SIZE] {
         // Pad: 0x80, zeros, 8-byte big-endian length.
-        let mut tail = self.buffer.clone();
+        let mut tail = std::mem::take(&mut self.buffer);
         tail.push(0x80);
         while tail.len() % 16 != 8 {
             tail.push(0);
         }
         tail.extend_from_slice(&self.total_len.to_be_bytes());
-        self.buffer.clear();
-        for chunk in tail.chunks(16) {
-            let block: [u8; 16] = chunk.try_into().expect("16 bytes");
-            self.compress(&block);
+        // The padding makes `tail` a whole number of blocks.
+        for block in tail.as_chunks::<16>().0 {
+            compress(&mut self.state, block);
         }
         let mut out = [0u8; DIGEST_SIZE];
         out[..16].copy_from_slice(&self.state[0]);
@@ -87,20 +86,19 @@ impl LightHash {
         h.update(data);
         h.finalize()
     }
+}
 
-    /// Davies–Meyer: H_i = E_{m}(H_{i-1}) ⊕ H_{i-1}, applied to both
-    /// halves with domain-separating tweaks.
-    fn compress(&mut self, block: &[u8; 16]) {
-        let cipher = Speck128::new(block).expect("16-byte key");
-        for (i, half) in self.state.iter_mut().enumerate() {
-            let mut v = *half;
-            // Domain-separate the two halves so they do not stay equal.
-            v[0] ^= i as u8 + 1;
-            cipher.encrypt_block(&mut v).expect("16-byte block");
-            for (h, e) in half.iter_mut().zip(v.iter()) {
-                *h ^= e;
-            }
-        }
+/// Davies–Meyer: H_i = E_{m}(H_{i-1}) ⊕ H_{i-1}, applied to both halves
+/// with domain-separating tweaks.
+fn compress(state: &mut [[u8; 16]; 2], block: &[u8; 16]) {
+    let (l, k) = split_words(*block);
+    let cipher = Speck128::from_key_words(l, k);
+    for (i, half) in state.iter_mut().enumerate() {
+        let (x, y) = split_words(*half);
+        // Domain-separate the two halves (XOR into the first byte) so
+        // they do not stay equal.
+        let (ex, ey) = cipher.encrypt_words(x ^ ((i as u64 + 1) << 56), y);
+        *half = join_words(x ^ ex, y ^ ey);
     }
 }
 
@@ -111,6 +109,26 @@ mod tests {
     #[test]
     fn deterministic() {
         assert_eq!(LightHash::digest(b"abc"), LightHash::digest(b"abc"));
+    }
+
+    #[test]
+    fn digests_are_pinned() {
+        let hex =
+            |d: [u8; DIGEST_SIZE]| -> String { d.iter().map(|b| format!("{b:02x}")).collect() };
+        assert_eq!(
+            hex(LightHash::digest(b"")),
+            "7c84869c9d4a36e498b90f1f7d7fa95a9d64326a3205f879f549345091714379"
+        );
+        assert_eq!(
+            hex(LightHash::digest(b"abc")),
+            "f7c184ffcecc989610f9490bbefeed49caa74fe4332e3e7a21a42ce7506e1f41"
+        );
+        assert_eq!(
+            hex(LightHash::digest(
+                b"a longer message spanning multiple compression blocks!!"
+            )),
+            "18f08c9a63044e490d5de820eb2a5eab678b5ec0f5d9dc1cbe82daa3f67baf79"
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub fn derive_key(secret: &[u8], context: &str, len: usize) -> Result<Vec<u8>, C
     let prk = extract.finalize();
 
     // Expand.
-    let cipher = Speck128::new(&prk[..16]).expect("16-byte PRK half");
+    let cipher = Speck128::new(&prk[..16])?;
     let mut out = Vec::with_capacity(len);
     let mut previous: Vec<u8> = prk[16..].to_vec();
     let mut counter = 0u32;
@@ -73,6 +73,17 @@ mod tests {
         assert_eq!(
             derive_key(b"s", "ctx", 32).unwrap(),
             derive_key(b"s", "ctx", 32).unwrap()
+        );
+    }
+
+    #[test]
+    fn output_is_pinned() {
+        assert_eq!(
+            derive_key(b"hub secret", "event-key/front-door", 16).unwrap(),
+            [
+                0x8d, 0x1d, 0xd2, 0x55, 0xaf, 0xd0, 0xd6, 0xfb, 0x8a, 0xf0, 0xca, 0xaf, 0x6e, 0xab,
+                0xd3, 0x66
+            ]
         );
     }
 

@@ -2,6 +2,7 @@
 //! framework's fixed-context uses) and a CMAC-style variant with subkey
 //! tweaking for variable-length messages.
 
+use crate::ciphers::{join_words, split_words, Speck128};
 use crate::{BlockCipher, CryptoError};
 
 /// CBC-MAC over any [`BlockCipher`], with the message length prepended to
@@ -73,6 +74,45 @@ impl<'c, C: BlockCipher + ?Sized> CbcMac<'c, C> {
             diff |= a ^ b;
         }
         Ok(diff == 0)
+    }
+}
+
+impl CbcMac<'_, Speck128> {
+    /// The SPECK128 tag of the concatenation of `parts`, streamed block
+    /// by block through [`Speck128::encrypt_words`]: equal to
+    /// [`CbcMac::tag`] of `parts.concat()`, with no buffer allocated and
+    /// no error path.
+    pub fn tag_parts(&self, parts: &[&[u8]]) -> [u8; 16] {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        // The block being filled; it starts with the length prefix.
+        let mut block = [0u8; 16];
+        block[..8].copy_from_slice(&(len as u64).to_be_bytes());
+        let mut filled = 8;
+        let mut state = (0u64, 0u64);
+        let mut absorb = |block: [u8; 16]| {
+            let (x, y) = split_words(block);
+            state = self.cipher.encrypt_words(state.0 ^ x, state.1 ^ y);
+        };
+        for part in parts {
+            let mut rest = *part;
+            while !rest.is_empty() {
+                let take = rest.len().min(16 - filled);
+                let (head, tail) = rest.split_at(take);
+                block[filled..filled + take].copy_from_slice(head);
+                filled += take;
+                rest = tail;
+                if filled == 16 {
+                    absorb(block);
+                    filled = 0;
+                }
+            }
+        }
+        if filled > 0 {
+            // Zero-pad the last partial block.
+            block[filled..].fill(0);
+            absorb(block);
+        }
+        join_words(state.0, state.1)
     }
 }
 

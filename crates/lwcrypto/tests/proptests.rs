@@ -109,6 +109,25 @@ proptest! {
         prop_assert_ne!(mac.tag(&extended).unwrap(), tag);
     }
 
+    /// The streaming SPECK128 CBC-MAC equals the generic CBC-MAC of the
+    /// concatenated parts, for any key, message and split into parts.
+    #[test]
+    fn streamed_speck_mac_equals_cbc_mac(key in any::<[u8; 16]>(),
+                                         message in prop::collection::vec(any::<u8>(), 0..=96),
+                                         cuts in prop::collection::vec(0usize..=96, 0..6)) {
+        let speck = Speck128::new(&key).unwrap();
+        let mac = CbcMac::new(&speck);
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(message.len())).collect();
+        cuts.sort_unstable();
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([message.len()]) {
+            parts.push(&message[start..cut]);
+            start = cut;
+        }
+        prop_assert_eq!(mac.tag_parts(&parts).to_vec(), mac.tag(&message).unwrap());
+    }
+
     /// Hash: deterministic, and streaming in arbitrary chunkings matches
     /// the one-shot digest.
     #[test]
