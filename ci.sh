@@ -61,6 +61,16 @@ if grep -rnF --include='*.rs' -e 'std::env::args' -e 'fn parse_args' -e 'fn writ
     echo "a hand-rolled bench harness is back: use xlf_bench::{args, json, timing}"; exit 1
 fi
 
+echo "== linear stream pass: the stream correlator builds no similarity graph"
+# Non-test code only: everything above a file's `#[cfg(test)]` line.
+for f in crates/stream/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nE 'xlf_analytics::(graph|\{[^}]*\bgraph\b)'; then
+        echo "$f uses xlf_analytics::graph: stream epochs score by per-template robust z"
+        exit 1
+    fi
+done
+
 echo "== schema stability: byte-identical fleet reports across reruns"
 ./target/release/exp_fleet --homes 16 --workers 2 --horizon 420 --capacity 64 \
     --report "$tmpdir/report_a.json" --json "$tmpdir/bench_a.json" >/dev/null
@@ -150,14 +160,15 @@ echo "== golden-byte rerun gate: report bytes unchanged across reruns"
 cargo test -p xlf-fleet --test schema -q
 cargo test -p xlf-fleet --test determinism -q
 
-echo "== schema gate: v8 goldens are current (and v7 goldens are retired)"
-ls crates/fleet/tests/golden/fleet_report_v8.json \
+echo "== schema gate: report v9 and metrics v8 goldens are current (older ones are retired)"
+ls crates/fleet/tests/golden/fleet_report_v9.json \
    crates/fleet/tests/golden/fleet_metrics_v8.json \
-   crates/fleet/tests/golden/fleet_report_campaign_v8.json \
-   crates/fleet/tests/golden/fleet_report_onboard_v8.json >/dev/null \
-    || { echo "v8 schema goldens are missing"; exit 1; }
-if ls crates/fleet/tests/golden/*_v7.json >/dev/null 2>&1; then
-    echo "stale v7 schema goldens are still checked in"; exit 1
+   crates/fleet/tests/golden/fleet_report_campaign_v9.json \
+   crates/fleet/tests/golden/fleet_report_onboard_v9.json >/dev/null \
+    || { echo "report v9 / metrics v8 schema goldens are missing"; exit 1; }
+if ls crates/fleet/tests/golden/*_v7.json crates/fleet/tests/golden/fleet_report*_v8.json \
+    >/dev/null 2>&1; then
+    echo "stale report v8 (or v7) schema goldens are still checked in"; exit 1
 fi
 
 echo "CI OK"

@@ -94,8 +94,13 @@ const FEAT_PACKETS: usize = 9;
 /// with mean handshake latency/energy, and denied-home ids otherwise),
 /// denied homes merged into `flagged`, and one onboarding-denial alert
 /// per denied home. The section is recomputed purely from the spec, so
-/// it is byte-identical for any worker or region-shard count.
-pub const FLEET_REPORT_SCHEMA_VERSION: u32 = 8;
+/// it is byte-identical for any worker or region-shard count; v9 —
+/// stream epochs score every home by robust z against its own
+/// template's per-epoch median/MAD (the batch rule) instead of a
+/// per-epoch kNN graph, so `epochs.per_epoch` and
+/// `epochs.first_detection` (and the stream alerts built from them) carry
+/// the new rule's detections. The field layout is unchanged.
+pub const FLEET_REPORT_SCHEMA_VERSION: u32 = 9;
 
 /// One home's row in the fleet report (homes that ran to the horizon —
 /// the only homes the cross-home graph correlates).
@@ -800,7 +805,11 @@ impl FleetAggregator {
         let Some(interval) = self.correlation_interval else {
             return Ok((None, None));
         };
-        let mut windows: Vec<WindowSummary> = Vec::new();
+        // Window batches by epoch; a window past the last epoch is never
+        // ingested.
+        let mut by_epoch: Vec<Vec<WindowSummary>> = (0..self.stream_epochs)
+            .map(|_| Vec::with_capacity(items.len()))
+            .collect();
         let mut shed = 0u64;
         let mut managed: Vec<&HomeSpec> = Vec::new();
         for (hs, outcome, stream) in items {
@@ -815,7 +824,11 @@ impl FleetAggregator {
                 continue;
             }
             managed.push(hs);
-            windows.extend(stream.windows.iter().cloned());
+            for w in &stream.windows {
+                if let Some(batch) = by_epoch.get_mut(w.window as usize) {
+                    batch.push(w.clone());
+                }
+            }
             shed += stream.shed;
         }
 
@@ -855,13 +868,15 @@ impl FleetAggregator {
             ConfigAuditor::new(spec, self.master_seed, &homes)
         });
 
+        // Each home is scored against its own template's homes, as in
+        // the batch pass.
         let mut correlator = StreamCorrelator::new(StreamConfig {
-            graph_k: self.graph_k,
-            graph_gamma: self.graph_gamma,
-            graph_iters: self.graph_iters,
             min_deviation: self.min_deviation,
             sigma: self.sigma,
         });
+        for hs in &managed {
+            correlator.assign_template(hs.id, hs.template);
+        }
         correlator.note_shed(shed);
 
         // Resume overlay: everything pure was just rebuilt from the spec
@@ -888,10 +903,6 @@ impl FleetAggregator {
             start_epoch = sr.next_epoch;
         }
 
-        let mut by_epoch: BTreeMap<u64, Vec<WindowSummary>> = BTreeMap::new();
-        for w in windows {
-            by_epoch.entry(w.window).or_default().push(w);
-        }
         for epoch in 0..self.stream_epochs {
             // Epochs before the resume cursor are already inside the
             // restored state: skip them without touching anything.
@@ -904,7 +915,7 @@ impl FleetAggregator {
             if ctx.kill == Some(KillPoint::Epoch(epoch)) {
                 return Err(FleetError::ChaosKilled(KillPoint::Epoch(epoch)));
             }
-            let mut batch = by_epoch.remove(&epoch).unwrap_or_default();
+            let mut batch = std::mem::take(&mut by_epoch[epoch as usize]);
             for engine in &mut engines {
                 engine.epoch_begin(epoch, correlator.flagged(), &mut bus);
             }
@@ -1386,8 +1397,8 @@ impl FleetAggregator {
             }
         }
 
-        // Onboarding: recompute the join phase purely from the spec (the
-        // same outcomes the engine charged metrics for) and fold denials
+        // Onboarding: compute the join phase purely from the spec (the
+        // engine charges its metrics from this section) and fold denials
         // into the fleet record — denied homes are flagged, and each
         // denial raises one warning with its structured cause. The fixed
         // position (after every quarantine/fault alert) keeps the alert

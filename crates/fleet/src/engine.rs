@@ -770,20 +770,6 @@ fn run_fleet_inner(
     let homes = spec.stamp();
     let n = homes.len();
 
-    // Join phase: every home's secure-onboarding handshake runs before
-    // any simulation steps. The outcome is a pure function of
-    // `(OnboardingSpec, HomeSpec)`, so only the live metrics are charged
-    // here — the aggregator recomputes the identical outcomes for the
-    // report's `onboarding` section, keeping report bytes independent of
-    // worker count.
-    if let Some(ob) = spec.onboarding.as_ref() {
-        let section = crate::onboard::OnboardSection::compute(ob, &homes);
-        metrics.onboard_joins.add(section.joins);
-        metrics.onboard_admitted.add(section.admitted);
-        metrics.onboard_denied.add(section.denied);
-        metrics.onboard_retransmissions.add(section.retransmissions);
-    }
-
     let (job_tx, job_rx) = crossbeam::channel::unbounded::<HomeSpec>();
     for (sent, hs) in homes.into_iter().enumerate() {
         metrics.faults_injected.inc(hs.fault);
@@ -913,9 +899,21 @@ fn run_fleet_inner(
         kill,
         None,
     );
-    finish_aggregation(spec, metrics, &mut ctx, move |agg, ctx| {
+    let report = finish_aggregation(spec, metrics, &mut ctx, move |agg, ctx| {
         agg.aggregate_regions_run(aggs, ctx)
-    })
+    })?;
+    // Join phase: every home's secure-onboarding handshake is a pure
+    // function of `(OnboardingSpec, HomeSpec)`, computed once by the
+    // aggregator for the report's `onboarding` section. The live metrics
+    // are charged from that section here, not in `finish_aggregation`,
+    // which the resume path shares: a resumed run charges none.
+    if let Some(section) = &report.onboarding {
+        metrics.onboard_joins.add(section.joins);
+        metrics.onboard_admitted.add(section.admitted);
+        metrics.onboard_denied.add(section.denied);
+        metrics.onboard_retransmissions.add(section.retransmissions);
+    }
+    Ok(report)
 }
 
 #[cfg(test)]

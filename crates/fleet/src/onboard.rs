@@ -1,7 +1,7 @@
 //! Fleet-side secure onboarding: every stamped home runs one
-//! [`xlf_onboard::join_device`] handshake before its simulation steps,
-//! and the aggregation tier recomputes the identical outcomes when it
-//! builds the report's v8 `onboarding` section.
+//! [`xlf_onboard::join_device`] handshake, computed once per run by the
+//! aggregation tier when it builds the report's `onboarding` section (the
+//! engine charges the onboarding metrics from that section).
 //!
 //! The join outcome is a **pure function** of
 //! `(OnboardingSpec, HomeSpec)` — the joining class is drawn from the

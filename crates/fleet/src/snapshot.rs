@@ -44,8 +44,12 @@ use xlf_stream::{
 
 /// Magic prefix of a run-level snapshot file.
 pub const RUN_SNAPSHOT_MAGIC: &[u8; 4] = b"XLFR";
-/// Current run-snapshot format version.
-pub const RUN_SNAPSHOT_VERSION: u32 = 1;
+/// Current run-snapshot format version. Version 2 embeds the version-2
+/// `XLFS` correlator checkpoint (per-template robust-z scoring);
+/// version-1 files are rejected with
+/// [`SnapshotError::UnsupportedVersion`], and a resume falls back past
+/// them.
+pub const RUN_SNAPSHOT_VERSION: u32 = 2;
 
 const PHASE_HOMES: u8 = 0;
 const PHASE_STREAM: u8 = 1;
@@ -933,6 +937,34 @@ mod tests {
         assert_eq!(
             decode(&seal(version), &spec).err(),
             Some(SnapshotError::UnsupportedVersion(999))
+        );
+    }
+
+    #[test]
+    fn old_format_snapshots_are_rejected_by_version() {
+        let (bytes, spec) = sealed_snapshot(0xC0DE_0006);
+        let payload = unseal(&bytes).expect("pristine snapshot unseals");
+        assert_eq!(payload[4..8], RUN_SNAPSHOT_VERSION.to_le_bytes());
+
+        // A version-1 run snapshot.
+        let mut v1 = payload.to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            decode(&seal(v1), &spec).err(),
+            Some(SnapshotError::UnsupportedVersion(1))
+        );
+
+        // A current run snapshot wrapping a version-1 correlator
+        // checkpoint: the embedded blob is checked at decode time.
+        let at = payload
+            .windows(4)
+            .position(|w| w == b"XLFS")
+            .expect("a stream-phase snapshot embeds the correlator");
+        let mut nested = payload.to_vec();
+        nested[at + 4..at + 8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            decode(&seal(nested), &spec).err(),
+            Some(SnapshotError::UnsupportedVersion(1))
         );
     }
 

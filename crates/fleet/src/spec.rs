@@ -329,19 +329,19 @@ pub struct FleetSpec {
     /// Capacity of the bounded report channel (worker → aggregator
     /// backpressure).
     pub report_capacity: usize,
-    /// kNN graph degree for cross-home correlation.
+    /// kNN graph degree of the batch pass's candidate graph (the stream
+    /// pass builds no graph).
     pub graph_k: usize,
-    /// RBF kernel width for the similarity graph.
+    /// RBF kernel width for the candidate similarity graph.
     pub graph_gamma: f64,
-    /// Label-propagation iteration cap.
+    /// Label-propagation iteration cap for the candidate graph.
     pub graph_iters: usize,
-    /// Deviation threshold floor for flagging (the effective threshold
-    /// is `max(min_deviation, median + sigma·MAD)` over the fleet —
-    /// median/MAD so deviants can't inflate the spread they are
-    /// compared against).
+    /// Floor of the flag bar: the effective bar is
+    /// `max(sigma, min_deviation)` robust-σ units.
     pub min_deviation: f64,
-    /// How many (robust) standard deviations above the fleet median a
-    /// home's deviation score must sit to be flagged.
+    /// How many robust standard deviations from its own template's
+    /// median/MAD a home's worst feature must sit to be flagged, in the
+    /// batch pass and in every stream epoch.
     pub sigma: f64,
     /// Streaming correlation interval in simulated seconds. `None` =
     /// batch mode (correlate once at the horizon, schema's `epochs`

@@ -16,6 +16,7 @@ use xlf_device::firmware::Version;
 use xlf_fleet::{
     kill_points, run_fleet, run_fleet_resume, run_killed_and_resumed, scratch_dir, CampaignSpec,
     ConfigAuditSpec, FleetAttack, FleetFault, FleetMetrics, FleetSpec, KillPoint,
+    RUN_SNAPSHOT_MAGIC, RUN_SNAPSHOT_VERSION,
 };
 
 /// A fleet exercising every kind of state the snapshot must carry:
@@ -204,6 +205,55 @@ fn with_every_generation_corrupted_the_resume_falls_back_to_a_full_rerun() {
     let report = run_fleet_resume(&spec, &resumed).expect("full re-run completes");
     assert_eq!(report.to_json(), golden, "full re-run diverged");
     assert_eq!(resumed.resumes.get(), 0, "nothing restorable: not a resume");
+    assert_eq!(resumed.replayed_epochs.get(), spec.stream_epochs());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a, the checksum sealing every generation file (its last 8
+/// bytes, little-endian).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn old_format_generations_are_rejected_and_the_run_is_redone() {
+    // Rewrite every generation as a version-1 file with a valid
+    // checksum: the format an older build left behind. Resume must
+    // reject each one (not panic on its layout) and fall back to a full
+    // re-run that matches the golden.
+    let golden = golden_json(1);
+    let dir = scratch_dir("oldformat");
+    let spec = base_spec(2, 2).with_run_snapshot_every(1, &dir);
+    let metrics = FleetMetrics::new();
+    xlf_fleet::run_fleet_chaos(&spec, &metrics, KillPoint::Epoch(5))
+        .expect_err("chaos run is killed");
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&dir)
+        .expect("snapshot dir exists")
+        .flatten()
+    {
+        let path = entry.path();
+        let bytes = std::fs::read(&path).expect("read generation");
+        let mut payload = bytes[..bytes.len() - 8].to_vec();
+        assert_eq!(&payload[..4], RUN_SNAPSHOT_MAGIC);
+        assert_eq!(payload[4..8], RUN_SNAPSHOT_VERSION.to_le_bytes());
+        payload[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&payload);
+        payload.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, payload).expect("write old-format generation");
+        rewritten += 1;
+    }
+    assert!(rewritten >= 2, "the killed run cut {rewritten} generations");
+    let resumed = FleetMetrics::new();
+    let report = run_fleet_resume(&spec, &resumed).expect("full re-run completes");
+    assert_eq!(
+        report.to_json(),
+        golden,
+        "re-run past old-format files diverged"
+    );
+    assert_eq!(resumed.resumes.get(), 0, "an old-format file was resumed");
     assert_eq!(resumed.replayed_epochs.get(), spec.stream_epochs());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,8 +2,8 @@
 //!
 //! `FleetReport::to_json` and `FleetMetrics::to_json` are longitudinal
 //! interfaces: operators diff them across runs and revisions. These
-//! tests pin the exact bytes of schema v8 against goldens under
-//! `tests/golden/`. If a field is added/removed/renamed/reordered, bump
+//! tests pin the exact bytes of report schema v9 and metrics schema v8
+//! against goldens under `tests/golden/`. If a field is added/removed/renamed/reordered, bump
 //! the matching `*_SCHEMA_VERSION` constant and regenerate the goldens:
 //!
 //! ```text
@@ -183,13 +183,13 @@ fn synthetic_campaign_report_json() -> String {
 }
 
 #[test]
-fn fleet_report_json_matches_the_v8_golden() {
+fn fleet_report_json_matches_the_v9_golden() {
     assert_eq!(
-        FLEET_REPORT_SCHEMA_VERSION, 8,
+        FLEET_REPORT_SCHEMA_VERSION, 9,
         "bump goldens with the schema"
     );
     let json = synthetic_report_json();
-    assert!(json.starts_with("{\"schema_version\":8,"), "{json}");
+    assert!(json.starts_with("{\"schema_version\":9,"), "{json}");
     // Batch aggregation: the `epochs` and `campaigns` sections are
     // present but null.
     assert!(json.contains("\"epochs\":null"), "{json}");
@@ -205,7 +205,7 @@ fn fleet_report_json_matches_the_v8_golden() {
     );
     // v8: the onboarding section (null — no onboarding spec).
     assert!(json.contains("\"onboarding\":null"), "{json}");
-    assert_matches_golden("fleet_report_v8.json", &json);
+    assert_matches_golden("fleet_report_v9.json", &json);
 }
 
 /// An onboarding-bearing fleet exercising the v8 `onboarding` section:
@@ -232,7 +232,7 @@ fn synthetic_onboard_report_json() -> String {
 }
 
 #[test]
-fn onboard_report_json_matches_the_v8_golden() {
+fn onboard_report_json_matches_the_v9_golden() {
     let json = synthetic_onboard_report_json();
     // The section carries the join ledger, the containment invariant,
     // structured denial causes, and the per-class cipher record.
@@ -241,11 +241,11 @@ fn onboard_report_json_matches_the_v8_golden() {
     assert!(json.contains("\"denials\":{\"infeasible\":"), "{json}");
     assert!(json.contains("\"key_floor_bits\":"), "{json}");
     assert!(json.contains("\"denied_homes\":["), "{json}");
-    assert_matches_golden("fleet_report_onboard_v8.json", &json);
+    assert_matches_golden("fleet_report_onboard_v9.json", &json);
 }
 
 #[test]
-fn campaign_report_json_matches_the_v8_golden() {
+fn campaign_report_json_matches_the_v9_golden() {
     let json = synthetic_campaign_report_json();
     // The tampered release lands on the first wave's promiscuous
     // cohort, the correlator flags the implant behaviour, and the gate
@@ -253,7 +253,7 @@ fn campaign_report_json_matches_the_v8_golden() {
     assert!(json.contains("\"halted_at_wave\":0") || json.contains("\"halted_at_wave\":1"));
     assert!(json.contains("\"contained\":true"), "{json}");
     assert!(json.contains("\"config_audit\":{\"every\":5"), "{json}");
-    assert_matches_golden("fleet_report_campaign_v8.json", &json);
+    assert_matches_golden("fleet_report_campaign_v9.json", &json);
 }
 
 #[test]

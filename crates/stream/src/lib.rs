@@ -9,11 +9,11 @@
 //! movement over `N` simulated seconds) through a bounded,
 //! shed-accounted [`WindowBuffer`]; a [`StreamCorrelator`] folds them
 //! into online robust statistics (streaming median + MAD per feature,
-//! exactly mergeable across windows — [`RobustAccumulator`]) and re-runs
-//! the kNN + label-propagation community pass incrementally each epoch
-//! (seeding propagation from the previous epoch's labels), so fleet
-//! alerts fire mid-run with epoch-stamped dedup instead of at the
-//! horizon.
+//! exactly mergeable across windows — [`RobustAccumulator`]) and each
+//! epoch scores every home by robust z against its own template's
+//! per-dimension median/MAD — the batch aggregator's rule, linear in
+//! homes — so fleet alerts fire mid-run with epoch-stamped dedup instead
+//! of at the horizon.
 //!
 //! Everything is deterministic in the same sense as the rest of the
 //! workspace: epochs are simulated-time barriers, summaries are folded

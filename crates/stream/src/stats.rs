@@ -7,10 +7,11 @@
 //! accumulators must equal computing the batch statistic over the
 //! concatenated samples, byte for byte, or checkpoint/resume could not
 //! be byte-identical. So this is not a sketch: the accumulator retains
-//! its samples in sorted order (insertion by binary search, merge by
-//! sorted-merge) and answers median/MAD queries exactly. Fleet-scale
-//! populations are small enough (tens of homes × tens of windows) that
-//! exactness costs nothing here.
+//! its samples in sorted order (one sort for a batch, insertion by
+//! binary search for a single sample, sorted-merge for another
+//! accumulator) and answers median/MAD queries exactly. Per-feature
+//! populations are small enough (a few hundred homes per template, tens
+//! of windows per home) that exactness costs little here.
 
 /// An exact, mergeable streaming median/MAD accumulator over `f64`
 /// samples. Ordering uses `total_cmp`, so non-finite samples are
@@ -27,19 +28,22 @@ impl RobustAccumulator {
         RobustAccumulator::default()
     }
 
-    /// Builds an accumulator from a batch of samples (the reference the
-    /// merge property test compares against).
+    /// Builds an accumulator from a batch of samples with one sort (the
+    /// reference the merge property test compares against). Samples that
+    /// compare equal under `total_cmp` have equal bits, so the result is
+    /// bit-identical to pushing them one by one.
     pub fn from_samples(samples: &[f64]) -> Self {
-        let mut acc = RobustAccumulator::new();
-        for &x in samples {
-            acc.push(x);
-        }
-        acc
+        let mut samples = samples.to_vec();
+        samples.sort_by(f64::total_cmp);
+        RobustAccumulator { samples }
     }
 
-    /// Folds one sample in (O(log n) search + O(n) insert).
+    /// Folds one sample in (O(log n) search + O(n) insert). The sample
+    /// goes after any equal ones (equal under `total_cmp` means equal
+    /// bits), so a repeated maximum — a feature that stays 0 window after
+    /// window — moves nothing.
     pub fn push(&mut self, x: f64) {
-        let at = self.samples.partition_point(|s| s.total_cmp(&x).is_lt());
+        let at = self.samples.partition_point(|s| s.total_cmp(&x).is_le());
         self.samples.insert(at, x);
     }
 
@@ -89,37 +93,60 @@ impl RobustAccumulator {
     /// The exact median (mean of the two middle samples for even counts;
     /// 0.0 when empty).
     pub fn median(&self) -> f64 {
-        let n = self.samples.len();
-        if n == 0 {
-            return 0.0;
-        }
-        if n % 2 == 1 {
-            self.samples[n / 2]
-        } else {
-            (self.samples[n / 2 - 1] + self.samples[n / 2]) / 2.0
-        }
+        median_of_sorted(&self.samples)
     }
 
     /// The exact median absolute deviation from the median (0.0 when
-    /// empty).
+    /// empty): one pass for the deviations, one sort.
     pub fn mad(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
         let m = self.median();
-        RobustAccumulator::from_samples(
-            &self
-                .samples
-                .iter()
-                .map(|x| (x - m).abs())
-                .collect::<Vec<f64>>(),
-        )
-        .median()
+        let mut deviations: Vec<f64> = self.samples.iter().map(|x| (x - m).abs()).collect();
+        deviations.sort_by(f64::total_cmp);
+        median_of_sorted(&deviations)
     }
 
     /// The retained samples, sorted (for serialization).
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+}
+
+/// The exact median and MAD of `samples`, bit-identical to
+/// [`RobustAccumulator::from_samples`]`(samples)`'s `median()` and
+/// `mad()`, by selection instead of sorting (linear time on average).
+/// Reorders `samples`; `deviations` is scratch space.
+pub(crate) fn median_mad(samples: &mut [f64], deviations: &mut Vec<f64>) -> (f64, f64) {
+    let median = select_median(samples);
+    deviations.clear();
+    deviations.extend(samples.iter().map(|x| (x - median).abs()));
+    (median, select_median(deviations))
+}
+
+/// The median by `total_cmp` selection. The selected middle sample, and
+/// for even counts the largest sample below it, are the sorted order's
+/// middle samples: samples equal under `total_cmp` have equal bits.
+fn select_median(samples: &mut [f64]) -> f64 {
+    let n = samples.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let (below, &mut upper, _) = samples.select_nth_unstable_by(n / 2, f64::total_cmp);
+    match below.iter().copied().max_by(f64::total_cmp) {
+        Some(lower) if n.is_multiple_of(2) => (lower + upper) / 2.0,
+        _ => upper,
+    }
+}
+
+/// The median of `total_cmp`-sorted samples: the mean of the two middle
+/// samples for even counts, 0.0 when empty.
+fn median_of_sorted(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n == 0 {
+        0.0
+    } else if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
 }
 
@@ -203,6 +230,63 @@ mod tests {
             parts.reverse();
             let reversed = RobustAccumulator::merge_many(&parts);
             prop_assert_eq!(reversed.samples(), batch.samples());
+        }
+
+        /// One sort builds exactly what n binary-search inserts build:
+        /// the same retained bits, median and MAD, signed zeros and
+        /// non-finite samples included. The MAD oracle is insertion-built
+        /// too.
+        #[test]
+        fn sorted_batch_equals_insertion_built_oracle(
+            samples in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    -1e6f64..1e6,
+                    proptest::sample::select(vec![
+                        0.0, -0.0, 1.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN,
+                    ]),
+                )
+                    .prop_map(|(special, x, s)| if special { s } else { x }),
+                0..48,
+            ),
+        ) {
+            let mut oracle = RobustAccumulator::new();
+            for &x in &samples {
+                oracle.push(x);
+            }
+            let batch = RobustAccumulator::from_samples(&samples);
+            let bits = |a: &RobustAccumulator| -> Vec<u64> {
+                a.samples().iter().map(|x| x.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&batch), bits(&oracle));
+            prop_assert_eq!(batch.median().to_bits(), oracle.median().to_bits());
+            let m = oracle.median();
+            let mut deviations = RobustAccumulator::new();
+            for x in oracle.samples() {
+                deviations.push((x - m).abs());
+            }
+            prop_assert_eq!(batch.mad().to_bits(), deviations.median().to_bits());
+        }
+
+        /// Selection gives the sorted accumulator's median and MAD, bit
+        /// for bit.
+        #[test]
+        fn selected_median_mad_equals_accumulator(
+            samples in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    -1e3f64..1e3,
+                    proptest::sample::select(vec![0.0, -0.0, 1.0, f64::INFINITY, f64::NAN]),
+                )
+                    .prop_map(|(special, x, s)| if special { s } else { x }),
+                0..48,
+            ),
+        ) {
+            let acc = RobustAccumulator::from_samples(&samples);
+            let mut scratch = samples.clone();
+            let (median, mad) = median_mad(&mut scratch, &mut Vec::new());
+            prop_assert_eq!(median.to_bits(), acc.median().to_bits());
+            prop_assert_eq!(mad.to_bits(), acc.mad().to_bits());
         }
 
         /// Push order never matters.

@@ -4,13 +4,12 @@
 //! never a panic, never a silently-wrong correlator.
 
 use proptest::prelude::*;
-use xlf_stream::{CheckpointError, StreamConfig, StreamCorrelator, WindowSummary, STREAM_FEATURES};
+use xlf_stream::{
+    CheckpointError, StreamConfig, StreamCorrelator, WindowSummary, Writer, STREAM_FEATURES,
+};
 
 fn config() -> StreamConfig {
     StreamConfig {
-        graph_k: 4,
-        graph_gamma: 8.0,
-        graph_iters: 50,
         min_deviation: 0.15,
         sigma: 4.0,
     }
@@ -19,6 +18,9 @@ fn config() -> StreamConfig {
 /// A checkpoint with real state in it: 6 homes × 5 epochs ingested.
 fn populated_checkpoint() -> Vec<u8> {
     let mut correlator = StreamCorrelator::new(config());
+    for home in 0..6u64 {
+        correlator.assign_template(home, (home % 2) as usize);
+    }
     for epoch in 0..5u64 {
         let batch: Vec<WindowSummary> = (0..6u64)
             .map(|home| {
@@ -62,6 +64,40 @@ fn unsupported_version_reports_the_version_it_found() {
         StreamCorrelator::restore(&bytes).err(),
         Some(CheckpointError::UnsupportedVersion(99))
     );
+}
+
+/// A complete version-1 checkpoint of an empty correlator, laid out as
+/// the kNN-graph correlator wrote it: graph degree, RBF bandwidth and
+/// iteration cap, the two flag settings, the epoch and label counters,
+/// the window tallies, then empty home, label, flag, detection and
+/// epoch lists.
+fn empty_v1_checkpoint() -> Vec<u8> {
+    let mut w = Writer::new();
+    w.bytes(b"XLFS");
+    w.u32(1);
+    w.usize(8);
+    w.f64(8.0);
+    w.usize(100);
+    w.f64(0.15);
+    w.f64(4.0);
+    for _ in 0..4 {
+        w.u64(0); // epoch, next label, windows ingested, windows shed
+    }
+    for _ in 0..5 {
+        w.usize(0); // homes, labels, flagged, first detections, epochs
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn a_version_1_checkpoint_is_rejected_by_version() {
+    assert_eq!(
+        StreamCorrelator::restore(&empty_v1_checkpoint()).err(),
+        Some(CheckpointError::UnsupportedVersion(1))
+    );
+    // The current format carries version 2.
+    let bytes = populated_checkpoint();
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes());
 }
 
 #[test]
