@@ -71,6 +71,46 @@ for f in crates/stream/src/*.rs; do
     fi
 done
 
+echo "== one production path: no criterion harness, batch DPI or seeded graph API"
+if grep -rnE --include=Cargo.toml --exclude-dir=target --exclude-dir=.bench_build \
+    --exclude-dir=.git 'criterion|^\[\[bench\]\]' . \
+    || grep -n 'name = "criterion"' Cargo.lock; then
+    echo "the criterion bench harness is back: time with xlf_bench::timing in an exp_* binary"
+    exit 1
+fi
+if [ -e crates/bench/benches ]; then
+    echo "crates/bench/benches/ is back: time with xlf_bench::timing in an exp_* binary"
+    exit 1
+fi
+# Non-test code only: everything above a file's `#[cfg(test)]` line,
+# outside the crates' integration-test directories.
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" \
+        | grep -nwE 'inspect_batch|match_batch_sharded|label_propagation_seeded'; then
+        echo "$f brings back a batch-DPI or seeded-graph path: the gateway scans one \
+payload at a time and label propagation starts from the identity labelling"
+        exit 1
+    fi
+done < <(find crates -name '*.rs' -not -path '*/tests/*' -not -path '*/target/*')
+
+echo "== smoke: DPI automaton gate (self-asserting)"
+# Runs in the tmpdir: exp_dpi writes BENCH_dpi.json to its working
+# directory, and the committed file must not be overwritten by CI.
+exp_dpi="$PWD/target/release/exp_dpi"
+(cd "$tmpdir" && "$exp_dpi")
+
+echo "== bench freshness: committed BENCH_dpi.json is current"
+python3 - <<'PYEOF'
+import json
+bench = json.load(open("BENCH_dpi.json"))
+assert bench["experiment"] == "dpi-fastpath-sweep", "BENCH_dpi.json is not a DPI sweep artifact"
+for cell in bench["cells"]:
+    stale = {"batched_mbps", "enc_sharded_mbps"} & cell.keys()
+    assert not stale, f"BENCH_dpi.json has retired batch columns {sorted(stale)}; rerun exp_dpi"
+acc = bench["acceptance"]
+assert acc["automaton_speedup"] >= acc["required"], f"committed DPI point fails its gate: {acc}"
+PYEOF
+
 echo "== schema stability: byte-identical fleet reports across reruns"
 ./target/release/exp_fleet --homes 16 --workers 2 --horizon 420 --capacity 64 \
     --report "$tmpdir/report_a.json" --json "$tmpdir/bench_a.json" >/dev/null

@@ -383,26 +383,7 @@ pub fn similarity_graph_naive(
 /// neighbours. Deterministic: ties break toward the smaller label and
 /// nodes update in index order.
 pub fn label_propagation(adj: &[Vec<(usize, f64)>], max_iters: usize) -> Vec<usize> {
-    let seed: Vec<usize> = (0..adj.len()).collect();
-    label_propagation_seeded(adj, max_iters, &seed)
-}
-
-/// Label propagation from caller-supplied starting labels — the
-/// incremental entry point. An online correlator carries each node's
-/// label from the previous epoch into the next one, so propagation
-/// re-converges from the last known community structure instead of from
-/// scratch. Same deterministic update rule as [`label_propagation`].
-///
-/// # Panics
-///
-/// Panics if `seed.len() != adj.len()`.
-pub fn label_propagation_seeded(
-    adj: &[Vec<(usize, f64)>],
-    max_iters: usize,
-    seed: &[usize],
-) -> Vec<usize> {
-    assert_eq!(seed.len(), adj.len(), "one seed label per node");
-    let mut labels: Vec<usize> = seed.to_vec();
+    let mut labels: Vec<usize> = (0..adj.len()).collect();
     propagate_in_place(
         adj,
         max_iters,
@@ -414,7 +395,7 @@ pub fn label_propagation_seeded(
 }
 
 /// The propagation core, mutating caller-owned labels (which must
-/// already hold one seed label per node). Same deterministic update rule
+/// already hold the identity labelling). Same deterministic update rule
 /// as [`label_propagation`].
 fn propagate_in_place(
     adj: &[Vec<(usize, f64)>],
@@ -550,30 +531,9 @@ pub fn community_report(
     gamma: f64,
     max_iters: usize,
 ) -> CommunityReport {
-    community_report_seeded(features, k, gamma, max_iters, None)
-}
-
-/// Incremental variant of [`community_report`]: when `seed_labels` is
-/// given (one label per row), label propagation starts from those labels
-/// instead of from the identity assignment. An epoch-by-epoch correlator
-/// feeds the previous epoch's labels back in so community structure is
-/// refined, not rebuilt, at each step. With `None` this is exactly the
-/// batch pipeline.
-///
-/// # Panics
-///
-/// Panics if `seed_labels` is `Some` with a length other than
-/// `features.len()`.
-pub fn community_report_seeded(
-    features: &[Vec<f64>],
-    k: usize,
-    gamma: f64,
-    max_iters: usize,
-    seed_labels: Option<&[usize]>,
-) -> CommunityReport {
     let mut scratch = GraphScratch::new();
     scratch.matrix.fill_from_rows(features);
-    community_report_into(k, gamma, max_iters, seed_labels, &mut scratch);
+    community_report_into(k, gamma, max_iters, &mut scratch);
     CommunityReport {
         labels: std::mem::take(&mut scratch.labels),
         scores: std::mem::take(&mut scratch.scores),
@@ -582,8 +542,11 @@ pub fn community_report_seeded(
 
 /// Reusable working set for the whole community pipeline: the SoA
 /// feature matrix, the dense distance matrix and selection-row
-/// scratch, the adjacency lists, and the label/score outputs. A long-lived correlator keeps one of
-/// these across epochs so the steady-state pipeline allocates nothing.
+/// scratch, the adjacency lists, and the label/score outputs.
+/// [`community_report`] fills a fresh one per call; a caller that scores
+/// many batches (the `exp_engine` epoch bench) keeps one and passes it
+/// to [`community_report_into`], so repeated runs allocate nothing once
+/// the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct GraphScratch {
     /// Input: callers fill this (e.g. [`FeatureMatrix::fill_from_flat`])
@@ -619,20 +582,9 @@ impl GraphScratch {
 /// already loaded into `scratch.matrix` (normalizing them in place),
 /// rebuilds the kNN graph, propagates labels, and scores deviation,
 /// leaving the results in `scratch.labels()` / `scratch.scores()`.
-/// Output is identical to [`community_report_seeded`]; the only
-/// difference is buffer reuse.
-///
-/// # Panics
-///
-/// Panics if `seed_labels` is `Some` with a length other than the matrix
-/// row count.
-pub fn community_report_into(
-    k: usize,
-    gamma: f64,
-    max_iters: usize,
-    seed_labels: Option<&[usize]>,
-    scratch: &mut GraphScratch,
-) {
+/// Output is identical to [`community_report`]; the only difference is
+/// buffer reuse.
+pub fn community_report_into(k: usize, gamma: f64, max_iters: usize, scratch: &mut GraphScratch) {
     let n = scratch.matrix.rows();
     scratch.labels.clear();
     scratch.scores.clear();
@@ -649,13 +601,7 @@ pub fn community_report_into(
         &mut scratch.sel,
         &mut scratch.adj,
     );
-    match seed_labels {
-        Some(seed) => {
-            assert_eq!(seed.len(), n, "one seed label per node");
-            scratch.labels.extend_from_slice(seed);
-        }
-        None => scratch.labels.extend(0..n),
-    }
+    scratch.labels.extend(0..n);
     propagate_in_place(
         &scratch.adj,
         max_iters,
@@ -759,28 +705,19 @@ mod tests {
     }
 
     #[test]
-    fn seeded_propagation_with_identity_seed_matches_unseeded() {
-        let adj = similarity_graph(&features(), 3, 0.5);
-        let identity: Vec<usize> = (0..adj.len()).collect();
-        assert_eq!(
-            label_propagation_seeded(&adj, 50, &identity),
-            label_propagation(&adj, 50)
-        );
-    }
-
-    #[test]
-    fn seeded_propagation_preserves_converged_structure() {
-        // Feeding a converged labelling back in is a fixed point: the
-        // incremental pass keeps the communities it was given.
-        let adj = similarity_graph(&features(), 3, 0.5);
-        let converged = label_propagation(&adj, 50);
-        let again = label_propagation_seeded(&adj, 50, &converged);
-        assert_eq!(again, converged);
-        // And the seeded batch entry point agrees end-to-end.
-        let batch = community_report(&features(), 3, 0.5, 50);
-        let seeded = community_report_seeded(&features(), 3, 0.5, 50, Some(&batch.labels));
-        assert_eq!(seeded.labels, batch.labels);
-        assert_eq!(seeded.scores, batch.scores);
+    fn reused_scratch_matches_fresh_reports() {
+        // A larger run first, then a smaller one: stale buffer contents
+        // from the first run must not leak into the second.
+        let large = features();
+        let small: Vec<Vec<f64>> = large[3..9].to_vec();
+        let mut scratch = GraphScratch::new();
+        for rows in [&large, &small] {
+            scratch.matrix.fill_from_rows(rows);
+            community_report_into(3, 0.5, 50, &mut scratch);
+            let fresh = community_report(rows, 3, 0.5, 50);
+            assert_eq!(scratch.labels(), &fresh.labels[..]);
+            assert_eq!(scratch.scores(), &fresh.scores[..]);
+        }
     }
 
     #[test]

@@ -150,7 +150,8 @@ impl AcAutomaton {
 
     /// Finds the leftmost occurrence of each pattern in one pass,
     /// stopping early once every pattern has been seen. `out` is
-    /// resized/reset by the callee so batch callers can reuse it.
+    /// resized/reset by the callee, so a caller scanning many haystacks
+    /// can reuse it.
     pub fn find_first_per_pattern_into(&self, haystack: &[u8], out: &mut Vec<Option<usize>>) {
         out.clear();
         out.resize(self.lengths.len(), None);

@@ -20,7 +20,7 @@
 //! ```
 
 use xlf_analytics::graph::{
-    community_report_into, deviation_scores, label_propagation_seeded, normalize_features,
+    community_report_into, deviation_scores, label_propagation, normalize_features,
     similarity_graph_into, similarity_graph_naive, FeatureMatrix, GraphScratch,
 };
 use xlf_bench::args::{Args, Experiment};
@@ -296,7 +296,6 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             let mut normalized = raw.clone();
             normalize_features(&mut normalized);
             let flat: Vec<f64> = raw.iter().flatten().copied().collect();
-            let seed: Vec<usize> = (0..homes).collect();
 
             // Graph build alone: the kNN sweep itself. The blocked side
             // runs the way production runs it — through caller-owned
@@ -316,18 +315,18 @@ fn knn_sweep(smoke: bool) -> Vec<KnnCell> {
             // Full community epoch: what one stream epoch pays. The
             // naive epoch is the pre-overhaul shape (clone + normalize +
             // per-pair graph + propagation + scoring); the blocked epoch
-            // is the scratch-reusing pipeline the stream tier now runs.
+            // is the scratch-reusing `community_report_into` pipeline.
             let naive_epoch_s = per_call(3, || {
                 let mut n = raw.clone();
                 normalize_features(&mut n);
                 let adj = similarity_graph_naive(&n, K, GAMMA);
-                let labels = label_propagation_seeded(&adj, ITERS, &seed);
+                let labels = label_propagation(&adj, ITERS);
                 std::hint::black_box(deviation_scores(&adj, &labels));
             });
             let mut scratch = GraphScratch::new();
             let blocked_epoch_s = per_call(3, || {
                 scratch.matrix.fill_from_flat(&flat, homes, DIMS);
-                community_report_into(K, GAMMA, ITERS, Some(&seed), &mut scratch);
+                community_report_into(K, GAMMA, ITERS, &mut scratch);
                 std::hint::black_box(scratch.scores());
             });
 

@@ -21,8 +21,8 @@ fn main() {
     println!("│   device handlers : {}", cloud.cloud().handlers.len());
     println!("│   installed apps  : {}", cloud.cloud().apps.len());
     println!(
-        "│   event log       : {} events",
-        cloud.cloud().bus.log.len()
+        "│   event count     : {} published",
+        cloud.cloud().bus.published
     );
     println!("│   API gateway     : token auth + scopes + rate limiting");
     println!("└──────────────────────────────────────────────────────────────┘");

