@@ -14,6 +14,9 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== benchmark package: fleetbench builds and passes its tests against the public API"
+cargo test --offline -q --manifest-path fleetbench/Cargo.toml
+
 echo "== smoke: fleet orchestration (32 homes, 4 workers)"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

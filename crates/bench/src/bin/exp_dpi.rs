@@ -95,7 +95,8 @@ impl SweepCell {
 
 /// The fast-path sweep: rule-set size × payload size, naive vs automaton
 /// (plaintext) and naive vs token index (encrypted). Every engine scans
-/// one payload at a time, as the gateway does.
+/// one payload at a time, as the gateway does; each cell is the fastest
+/// of three timed batches (see [`per_call`]).
 fn fastpath_sweep() -> Vec<SweepCell> {
     const PAYLOADS_PER_CELL: usize = 48;
     let mut rng = StdRng::seed_from_u64(0x517f_d719);
@@ -108,12 +109,12 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             let mbps = |secs_per_batch: f64| batch_bytes / secs_per_batch.max(1e-12);
 
             let plain = PlaintextDpi::new(rules.clone());
-            let naive = mbps(per_call(1, || {
+            let naive = mbps(per_call(3, || {
                 for p in &payloads {
                     std::hint::black_box(plain.inspect_naive(p));
                 }
             }));
-            let automaton = mbps(per_call(1, || {
+            let automaton = mbps(per_call(3, || {
                 for p in &payloads {
                     std::hint::black_box(plain.inspect(p));
                 }
@@ -129,12 +130,12 @@ fn fastpath_sweep() -> Vec<SweepCell> {
             enc_indexed_engine
                 .bind_session(b"sweep session")
                 .expect("bind");
-            let enc_naive = mbps(per_call(1, || {
+            let enc_naive = mbps(per_call(3, || {
                 for t in &streams {
                     std::hint::black_box(enc_naive_engine.inspect("dev", t, SimTime::ZERO));
                 }
             }));
-            let enc_indexed = mbps(per_call(1, || {
+            let enc_indexed = mbps(per_call(3, || {
                 for t in &streams {
                     std::hint::black_box(enc_indexed_engine.inspect("dev", t, SimTime::ZERO));
                 }

